@@ -1,6 +1,7 @@
 //! Benchmark: one MCMC sweep of each variant on the same graph and start
 //! state — the wall-clock analogue of the paper's per-sweep cost comparison
-//! (on a multi-core host A-SBP/H-SBP sweeps parallelise via rayon).
+//! (on a multi-core host A-SBP/H-SBP sweeps parallelise on the
+//! `hsbp-parallel` pool).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsbp_blockmodel::Blockmodel;

@@ -17,8 +17,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use hsbp_bench::hotpath::{
-    compare_reports, parse_json, run_report, CheckLine, HotpathSpec, FIVE_K, SMOKE, TWENTY_K,
+    compare_reports, run_report, CheckLine, HotpathSpec, FIVE_K, SMOKE, TWENTY_K,
 };
+use hsbp_serve::json;
 use std::process::ExitCode;
 
 /// Check mode re-measures on a transient regression: CI runners share CPUs,
@@ -82,10 +83,9 @@ fn print_report(report: &hsbp_bench::hotpath::HotpathReport) {
         );
         for v in &g.variants {
             println!(
-                "  {:<7} {:<5} t={:<2} {:>9.2} sweeps/s  {:>12.0} proposals/s  accept {:.3}  \
+                "  {:<7} t={:<2} {:>9.2} sweeps/s  {:>12.0} proposals/s  accept {:.3}  \
                  eff {:.2}  steals {}  imbalance {:.2}",
                 v.variant,
-                v.math_mode,
                 v.threads,
                 v.sweeps_per_s,
                 v.proposals_per_s,
@@ -108,7 +108,7 @@ fn run() -> Result<(), String> {
     if args.mode == "check" {
         let text = std::fs::read_to_string(&args.baseline)
             .map_err(|e| format!("cannot read baseline {}: {e}", args.baseline))?;
-        let baseline = parse_json(&text).map_err(|e| format!("baseline parse error: {e}"))?;
+        let baseline = json::parse(&text).map_err(|e| format!("baseline parse error: {e}"))?;
         // Best ratio per (graph, variant) across attempts: a variant passes
         // if *any* measurement window cleared the threshold.
         let mut best: Vec<CheckLine> = Vec::new();
@@ -124,10 +124,7 @@ fn run() -> Result<(), String> {
             }
             for line in lines {
                 match best.iter_mut().find(|b| {
-                    b.graph == line.graph
-                        && b.variant == line.variant
-                        && b.math_mode == line.math_mode
-                        && b.threads == line.threads
+                    b.graph == line.graph && b.variant == line.variant && b.threads == line.threads
                 }) {
                     Some(b) if line.ratio > b.ratio => *b = line,
                     Some(_) => {}
@@ -147,11 +144,10 @@ fn run() -> Result<(), String> {
         let mut regressed = false;
         for line in &best {
             println!(
-                "check {}/{:<7} {:<5} t={:<2} normalised ratio {:.3} \
+                "check {}/{:<7} t={:<2} normalised ratio {:.3} \
                  (baseline {:.3e}, current {:.3e}){}",
                 line.graph,
                 line.variant,
-                line.math_mode,
                 line.threads,
                 line.ratio,
                 line.baseline_norm,

@@ -19,16 +19,17 @@
 
 use hsbp_blockmodel::Blockmodel;
 use hsbp_collections::SplitMix64;
-use hsbp_core::{run_mcmc_phase, MathMode, RunStats, SbpConfig, Variant};
+use hsbp_core::{run_mcmc_phase, RunStats, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
+use hsbp_serve::json::Json;
 use std::time::Instant;
 
 /// Schema version of `BENCH_mcmc.json`. Bumped on any incompatible change
 /// to the report shape; reported by `hsbp version` so replay tooling can
-/// detect mismatched baselines. Schema 3 added the per-measurement
-/// `math_mode` field; check mode reads schema-2 baselines by treating every
-/// baseline line as `exact` (see [`compare_reports`]).
-pub const BENCH_MCMC_SCHEMA_VERSION: u32 = 3;
+/// detect mismatched baselines. Schema 4 dropped the per-measurement
+/// math field (there is one delta-MDL math path); check mode only reads
+/// baselines of the current schema.
+pub const BENCH_MCMC_SCHEMA_VERSION: u32 = 4;
 
 /// One benchmark graph + sweep protocol.
 #[derive(Debug, Clone, Copy)]
@@ -109,29 +110,11 @@ pub fn threads_for_mode(mode: &str) -> Vec<usize> {
     }
 }
 
-/// Math modes a report sweeps. `full` (the committed baseline) measures
-/// both so check mode always has a same-mode line to compare against; the
-/// seconds-scale smoke/check modes measure only the active mode — the
-/// `HSBP_MATH` env var, which is how CI's math-mode matrix legs pin a leg
-/// to one mode. Pinning `HSBP_MATH` narrows `full` too.
-pub fn math_modes_for_mode(mode: &str) -> Vec<MathMode> {
-    if std::env::var(hsbp_core::HSBP_MATH_ENV).is_ok() {
-        return vec![MathMode::from_env()];
-    }
-    match mode {
-        "full" => vec![MathMode::Exact, MathMode::Table],
-        _ => vec![MathMode::from_env()],
-    }
-}
-
 /// Measured throughput of one variant on one graph at one thread count.
 #[derive(Debug, Clone)]
 pub struct VariantMeasurement {
     /// Paper-style variant name (`SBP`, `A-SBP`, `H-SBP`, `EA-SBP`).
     pub variant: String,
-    /// Delta-MDL math mode of the measured sweeps (`exact` or `table`;
-    /// results are bit-identical, only the cost differs).
-    pub math_mode: String,
     /// Worker threads the parallel sections ran with (`SbpConfig::threads`).
     /// The serial SBP variant is only measured at 1.
     pub threads: usize,
@@ -214,12 +197,11 @@ pub fn calibration_ops_per_s() -> f64 {
     best
 }
 
-fn bench_config(variant: Variant, threads: usize, math_mode: MathMode) -> SbpConfig {
+fn bench_config(variant: Variant, threads: usize) -> SbpConfig {
     SbpConfig {
         variant,
         seed: 7,
         threads,
-        math_mode,
         mcmc_threshold: 0.0, // never converge early: fixed sweep counts
         audit_cadence: 0,    // audits are not part of the hot path
         ..Default::default()
@@ -234,11 +216,10 @@ fn timed_sweeps(
     variant: Variant,
     sweeps: usize,
     threads: usize,
-    math_mode: MathMode,
 ) -> (f64, RunStats) {
     let cfg = SbpConfig {
         max_sweeps: sweeps,
-        ..bench_config(variant, threads, math_mode)
+        ..bench_config(variant, threads)
     };
     let mut bm = settled.clone();
     let mut stats = RunStats::new(&cfg);
@@ -248,13 +229,8 @@ fn timed_sweeps(
     (elapsed, stats)
 }
 
-/// Measure every variant on one spec'd graph, sweeping `threads` and
-/// `math_modes`.
-pub fn measure_graph(
-    spec: &HotpathSpec,
-    threads: &[usize],
-    math_modes: &[MathMode],
-) -> GraphMeasurement {
+/// Measure every variant on one spec'd graph, sweeping `threads`.
+pub fn measure_graph(spec: &HotpathSpec, threads: &[usize]) -> GraphMeasurement {
     let generated = generate(DcsbmConfig {
         num_vertices: spec.vertices,
         num_communities: spec.communities,
@@ -268,14 +244,13 @@ pub fn measure_graph(
         // Settle the chain from the planted truth so the timed sweeps see
         // the steady-state (low-acceptance) regime that dominates long runs.
         // One settle per variant: sweeps are bit-identical across thread
-        // counts *and* math modes, so every measurement starts from the
-        // same state.
+        // counts, so every measurement starts from the same state.
         let mut settled =
             Blockmodel::from_assignment(graph, generated.ground_truth.clone(), spec.communities);
         if spec.warmup_sweeps > 0 {
             let cfg = SbpConfig {
                 max_sweeps: spec.warmup_sweeps,
-                ..bench_config(variant, 1, MathMode::Exact)
+                ..bench_config(variant, 1)
             };
             let mut stats = RunStats::new(&cfg);
             run_mcmc_phase(graph, &mut settled, &cfg, 0, &mut stats);
@@ -286,62 +261,54 @@ pub fn measure_graph(
         } else {
             threads
         };
-        for &math_mode in math_modes {
-            if math_mode == MathMode::Table {
-                // Force the one-time process-wide table build outside the
-                // timed windows.
-                std::hint::black_box(hsbp_blockmodel::fastmath::table_cap());
-            }
-            // Parallel efficiency is anchored on the same (variant, mode)
-            // 1-thread run, always measured first.
-            let mut one_thread_tp: Option<f64> = None;
-            for &t in thread_points {
-                let pool = hsbp_parallel::pool_for(t);
-                pool.reset_stats();
-                let mut best: Option<(f64, RunStats)> = None;
-                for _ in 0..spec.repeats.max(1) {
-                    let run = timed_sweeps(graph, &settled, variant, spec.sweeps, t, math_mode);
-                    if best.as_ref().is_none_or(|b| run.0 < b.0) {
-                        best = Some(run);
-                    }
+        // Parallel efficiency is anchored on the same-variant 1-thread run,
+        // always measured first.
+        let mut one_thread_tp: Option<f64> = None;
+        for &t in thread_points {
+            let pool = hsbp_parallel::pool_for(t);
+            pool.reset_stats();
+            let mut best: Option<(f64, RunStats)> = None;
+            for _ in 0..spec.repeats.max(1) {
+                let run = timed_sweeps(graph, &settled, variant, spec.sweeps, t);
+                if best.as_ref().is_none_or(|b| run.0 < b.0) {
+                    best = Some(run);
                 }
-                let pool_stats = pool.stats();
-                let Some((elapsed, stats)) = best else {
-                    continue;
-                };
-                let elapsed = elapsed.max(1e-9);
-                let sweeps_per_s = spec.sweeps as f64 / elapsed;
-                if t == 1 {
-                    one_thread_tp = Some(sweeps_per_s);
-                }
-                let parallel_efficiency = match one_thread_tp {
-                    Some(base) if base > 0.0 => (sweeps_per_s / base) / t as f64,
-                    _ => 0.0,
-                };
-                let (proposals, accepted) = (stats.proposals, stats.accepted);
-                variants.push(VariantMeasurement {
-                    variant: variant.name().to_string(),
-                    math_mode: math_mode.name().to_string(),
-                    threads: t,
-                    sweeps: spec.sweeps,
-                    elapsed_s: elapsed,
-                    sweeps_per_s,
-                    proposals_per_s: proposals as f64 / elapsed,
-                    acceptance_rate: if proposals == 0 {
-                        0.0
-                    } else {
-                        accepted as f64 / proposals as f64
-                    },
-                    consolidations_incremental: stats.consolidations_incremental as u64,
-                    consolidations_rebuild: stats.consolidations_rebuild as u64,
-                    consolidated_moves: stats.consolidated_moves,
-                    parallel_efficiency,
-                    pool_sections: pool_stats.sections,
-                    pool_steals: pool_stats.steals,
-                    pool_max_imbalance: pool_stats.max_imbalance,
-                    pool_mean_imbalance: pool_stats.mean_imbalance,
-                });
             }
+            let pool_stats = pool.stats();
+            let Some((elapsed, stats)) = best else {
+                continue;
+            };
+            let elapsed = elapsed.max(1e-9);
+            let sweeps_per_s = spec.sweeps as f64 / elapsed;
+            if t == 1 {
+                one_thread_tp = Some(sweeps_per_s);
+            }
+            let parallel_efficiency = match one_thread_tp {
+                Some(base) if base > 0.0 => (sweeps_per_s / base) / t as f64,
+                _ => 0.0,
+            };
+            let (proposals, accepted) = (stats.proposals, stats.accepted);
+            variants.push(VariantMeasurement {
+                variant: variant.name().to_string(),
+                threads: t,
+                sweeps: spec.sweeps,
+                elapsed_s: elapsed,
+                sweeps_per_s,
+                proposals_per_s: proposals as f64 / elapsed,
+                acceptance_rate: if proposals == 0 {
+                    0.0
+                } else {
+                    accepted as f64 / proposals as f64
+                },
+                consolidations_incremental: stats.consolidations_incremental as u64,
+                consolidations_rebuild: stats.consolidations_rebuild as u64,
+                consolidated_moves: stats.consolidated_moves,
+                parallel_efficiency,
+                pool_sections: pool_stats.sections,
+                pool_steals: pool_stats.steals,
+                pool_max_imbalance: pool_stats.max_imbalance,
+                pool_mean_imbalance: pool_stats.mean_imbalance,
+            });
         }
     }
     GraphMeasurement {
@@ -355,7 +322,6 @@ pub fn measure_graph(
 /// Run the given specs and assemble a report.
 pub fn run_report(mode: &str, specs: &[HotpathSpec]) -> HotpathReport {
     let threads = threads_for_mode(mode);
-    let math_modes = math_modes_for_mode(mode);
     HotpathReport {
         mode: mode.to_string(),
         calibration_ops_per_s: calibration_ops_per_s(),
@@ -363,10 +329,7 @@ pub fn run_report(mode: &str, specs: &[HotpathSpec]) -> HotpathReport {
         hsbp_threads_env: std::env::var("HSBP_THREADS")
             .ok()
             .and_then(|raw| raw.trim().parse::<usize>().ok()),
-        graphs: specs
-            .iter()
-            .map(|s| measure_graph(s, &threads, &math_modes))
-            .collect(),
+        graphs: specs.iter().map(|s| measure_graph(s, &threads)).collect(),
         threads_swept: threads,
     }
 }
@@ -439,10 +402,6 @@ impl HotpathReport {
                     "          \"variant\": \"{}\",\n",
                     json_escape(&v.variant)
                 ));
-                s.push_str(&format!(
-                    "          \"math_mode\": \"{}\",\n",
-                    json_escape(&v.math_mode)
-                ));
                 s.push_str(&format!("          \"threads\": {},\n", v.threads));
                 s.push_str(&format!("          \"sweeps\": {},\n", v.sweeps));
                 s.push_str(&format!(
@@ -510,262 +469,11 @@ impl HotpathReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for check mode (only what the baseline file needs).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (subset sufficient for `BENCH_mcmc.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of JSON".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| "non-utf8 \\u escape".to_string())?,
-                                16,
-                            )
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                other => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    if other < 0x80 {
-                        out.push(other as char);
-                    } else {
-                        let len = match other {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let start = self.pos - 1;
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| "truncated utf8 sequence".to_string())?;
-                        out.push_str(
-                            std::str::from_utf8(chunk)
-                                .map_err(|_| "invalid utf8 in string".to_string())?,
-                        );
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' got '{}'", other as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}' got '{}'", other as char)),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document (subset: no surrogate-pair \u escapes).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
 /// One check-mode comparison line.
 #[derive(Debug, Clone)]
 pub struct CheckLine {
     pub graph: String,
     pub variant: String,
-    /// Math mode of the *current* measurement (the baseline line it matched
-    /// may be an `exact` fallback from a schema-2 baseline).
-    pub math_mode: String,
     /// Thread count of the compared measurement.
     pub threads: usize,
     /// Calibration-normalised throughput in the baseline file.
@@ -777,23 +485,26 @@ pub struct CheckLine {
     pub regressed: bool,
 }
 
-/// Compare `current` against a parsed `baseline` document. Measurements are
-/// matched on `(graph, variant, threads, math_mode)`; a schema-1 baseline
-/// (no `threads` field) is treated as all-1-thread, so only the current
-/// run's 1-thread lines compare against it, and a schema-2 baseline (no
-/// `math_mode` field) is treated as all-`exact` — a current `table` line
-/// with no same-mode baseline falls back to the `exact` baseline line
-/// (Table must be at least as fast, so comparing it against the exact
-/// baseline is conservative). Graphs or thread points present in only one
-/// of the two reports are skipped (the baseline may carry the full protocol
-/// while CI runs smoke). Returns every comparison made; an empty result
-/// means the baseline had no overlapping graphs, which the caller should
-/// treat as an error.
+/// Compare `current` against a parsed `baseline` document, which must be of
+/// the current schema. Measurements are matched on `(graph, variant,
+/// threads)`. Graphs or thread points present in only one of the two
+/// reports are skipped (the baseline may carry the full protocol while CI
+/// runs smoke). Returns every comparison made; an empty result means the
+/// baseline had no overlapping graphs, which the caller should treat as an
+/// error.
 pub fn compare_reports(
     current: &HotpathReport,
     baseline: &Json,
     threshold: f64,
 ) -> Result<Vec<CheckLine>, String> {
+    let schema = baseline.get("schema_version").and_then(Json::as_u64);
+    if schema != Some(u64::from(BENCH_MCMC_SCHEMA_VERSION)) {
+        let found = schema.map_or_else(|| "missing".to_string(), |v| v.to_string());
+        return Err(format!(
+            "baseline schema_version {found} is not {BENCH_MCMC_SCHEMA_VERSION}; \
+             regenerate it with --mode full"
+        ));
+    }
     let base_calib = baseline
         .get("calibration_ops_per_s")
         .and_then(Json::as_f64)
@@ -818,31 +529,11 @@ pub fn compare_reports(
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("baseline graph {} missing variants", g.name))?;
         for v in &g.variants {
-            let find = |math_mode: &str| {
-                base_variants.iter().find(|bv| {
-                    bv.get("variant").and_then(Json::as_str) == Some(v.variant.as_str())
-                        && bv
-                            .get("threads")
-                            .and_then(Json::as_f64)
-                            .map_or(1, |t| t as usize)
-                            == v.threads
-                        && bv
-                            .get("math_mode")
-                            .and_then(Json::as_str)
-                            .unwrap_or("exact")
-                            == math_mode
-                })
-            };
-            let same_mode = find(&v.math_mode);
-            let base_v = match same_mode {
-                Some(bv) => bv,
-                // Schema-2 fallback: a table-mode current line compares
-                // against the exact baseline line.
-                None if v.math_mode != "exact" => match find("exact") {
-                    Some(bv) => bv,
-                    None => continue,
-                },
-                None => continue,
+            let Some(base_v) = base_variants.iter().find(|bv| {
+                bv.get("variant").and_then(Json::as_str) == Some(v.variant.as_str())
+                    && bv.get("threads").and_then(Json::as_u64) == Some(v.threads as u64)
+            }) else {
+                continue;
             };
             let base_tp = base_v
                 .get("sweeps_per_s")
@@ -858,7 +549,6 @@ pub fn compare_reports(
             lines.push(CheckLine {
                 graph: g.name.clone(),
                 variant: v.variant.clone(),
-                math_mode: v.math_mode.clone(),
                 threads: v.threads,
                 baseline_norm,
                 current_norm,
@@ -874,6 +564,7 @@ pub fn compare_reports(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use hsbp_serve::json::parse;
 
     #[test]
     fn json_roundtrip_of_report() {
@@ -889,7 +580,6 @@ mod tests {
                 edges: 20,
                 variants: vec![VariantMeasurement {
                     variant: "SBP".into(),
-                    math_mode: "table".into(),
                     threads: 4,
                     sweeps: 4,
                     elapsed_s: 0.25,
@@ -907,11 +597,11 @@ mod tests {
                 }],
             }],
         };
-        let parsed = parse_json(&report.to_json()).unwrap();
+        let parsed = parse(&report.to_json()).unwrap();
         assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("smoke"));
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_f64),
-            Some(3.0)
+            Some(4.0)
         );
         assert_eq!(
             parsed.get("host_parallelism").and_then(Json::as_f64),
@@ -927,7 +617,6 @@ mod tests {
         let g = &parsed.get("graphs").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(g.get("vertices").and_then(Json::as_f64), Some(10.0));
         let v = &g.get("variants").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(v.get("math_mode").and_then(Json::as_str), Some("table"));
         assert_eq!(v.get("threads").and_then(Json::as_f64), Some(4.0));
         assert_eq!(v.get("sweeps_per_s").and_then(Json::as_f64), Some(16.0));
         assert_eq!(
@@ -959,42 +648,13 @@ mod tests {
             threads_swept: vec![1],
             graphs: vec![],
         };
-        let parsed = parse_json(&report.to_json()).unwrap();
+        let parsed = parse(&report.to_json()).unwrap();
         assert_eq!(parsed.get("hsbp_threads_env"), Some(&Json::Null));
     }
 
-    #[test]
-    fn parser_handles_nesting_and_escapes() {
-        let doc = r#"{"a": [1, -2.5e3, "x\ny\"z"], "b": {"c": true, "d": null}}"#;
-        let v = parse_json(doc).unwrap();
-        let a = v.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(a[1].as_f64(), Some(-2500.0));
-        assert_eq!(a[2].as_str(), Some("x\ny\"z"));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-    }
-
     fn measurement(variant: &str, threads: usize, tp: f64) -> VariantMeasurement {
-        measurement_mode(variant, "exact", threads, tp)
-    }
-
-    fn measurement_mode(
-        variant: &str,
-        math_mode: &str,
-        threads: usize,
-        tp: f64,
-    ) -> VariantMeasurement {
         VariantMeasurement {
             variant: variant.into(),
-            math_mode: math_mode.into(),
             threads,
             sweeps: 1,
             elapsed_s: 1.0 / tp,
@@ -1031,7 +691,7 @@ mod tests {
     #[test]
     fn check_flags_regressions_and_normalises_machine_speed() {
         let baseline = one_line_report("g", "SBP", 100.0, 1e8);
-        let base_json = parse_json(&baseline.to_json()).unwrap();
+        let base_json = parse(&baseline.to_json()).unwrap();
 
         // Same normalised speed on a machine 2x faster: not a regression.
         let same = one_line_report("g", "SBP", 200.0, 2e8);
@@ -1054,7 +714,7 @@ mod tests {
     #[test]
     fn check_skips_unmatched_graphs() {
         let baseline = one_line_report("other_graph", "SBP", 100.0, 1e8);
-        let base_json = parse_json(&baseline.to_json()).unwrap();
+        let base_json = parse(&baseline.to_json()).unwrap();
         let current = one_line_report("g", "SBP", 10.0, 1e8);
         let lines = compare_reports(&current, &base_json, 0.15).unwrap();
         assert!(lines.is_empty());
@@ -1068,7 +728,7 @@ mod tests {
         baseline.graphs[0]
             .variants
             .push(measurement("A-SBP", 4, 300.0));
-        let base_json = parse_json(&baseline.to_json()).unwrap();
+        let base_json = parse(&baseline.to_json()).unwrap();
 
         let mut current = one_line_report("g", "A-SBP", 100.0, 1e8);
         current.graphs[0]
@@ -1083,106 +743,24 @@ mod tests {
     }
 
     #[test]
-    fn check_treats_v1_baseline_as_one_thread() {
-        // A schema-1 baseline has no "threads" field: only the current
-        // report's 1-thread lines compare; other thread points are skipped.
-        let v1 = r#"{
-            "schema_version": 1,
-            "mode": "smoke",
-            "calibration_ops_per_s": 1e8,
-            "graphs": [{
-                "name": "g", "vertices": 1, "edges": 1,
-                "variants": [{"variant": "A-SBP", "sweeps": 1,
-                              "sweeps_per_s": 100.0}]
-            }]
-        }"#;
-        let base_json = parse_json(v1).unwrap();
-        let mut current = one_line_report("g", "A-SBP", 50.0, 1e8);
-        current.graphs[0]
-            .variants
-            .push(measurement("A-SBP", 4, 400.0));
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0].threads, 1);
-        assert!(lines[0].regressed);
-    }
-
-    #[test]
-    fn check_matches_on_math_mode() {
-        // Baseline carries both modes at different speeds; each current
-        // line must compare against its own mode, not the other's.
-        let mut baseline = one_line_report("g", "A-SBP", 100.0, 1e8);
-        baseline.graphs[0]
-            .variants
-            .push(measurement_mode("A-SBP", "table", 1, 200.0));
-        let base_json = parse_json(&baseline.to_json()).unwrap();
-
-        let mut current = one_line_report("g", "A-SBP", 100.0, 1e8);
-        current.graphs[0]
-            .variants
-            .push(measurement_mode("A-SBP", "table", 1, 190.0));
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert_eq!(lines.len(), 2);
-        let at = |m: &str| lines.iter().find(|l| l.math_mode == m).unwrap();
-        assert!((at("exact").ratio - 1.0).abs() < 1e-9);
-        assert!((at("table").ratio - 190.0 / 200.0).abs() < 1e-9);
-        assert!(!at("table").regressed);
-    }
-
-    #[test]
-    fn check_falls_back_to_exact_baseline_for_table_lines() {
-        // A schema-2 baseline has no math_mode field: its lines read as
-        // `exact`, and a current table line compares against the exact
-        // baseline (conservative: table must be at least as fast).
-        let v2 = r#"{
-            "schema_version": 2,
-            "mode": "smoke",
-            "calibration_ops_per_s": 1e8,
-            "graphs": [{
-                "name": "g", "vertices": 1, "edges": 1,
-                "variants": [{"variant": "A-SBP", "threads": 1, "sweeps": 1,
-                              "sweeps_per_s": 100.0}]
-            }]
-        }"#;
-        let base_json = parse_json(v2).unwrap();
-        let mut current = HotpathReport {
-            mode: "smoke".into(),
-            calibration_ops_per_s: 1e8,
-            host_parallelism: 1,
-            hsbp_threads_env: None,
-            threads_swept: vec![1],
-            graphs: vec![GraphMeasurement {
-                name: "g".into(),
-                vertices: 1,
-                edges: 1,
-                variants: vec![measurement_mode("A-SBP", "table", 1, 150.0)],
-            }],
-        };
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0].math_mode, "table");
-        assert!((lines[0].ratio - 1.5).abs() < 1e-9);
-        assert!(!lines[0].regressed);
-
-        // ...and a slow table line still regresses against that fallback.
-        current.graphs[0].variants[0] = measurement_mode("A-SBP", "table", 1, 50.0);
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert!(lines[0].regressed);
-    }
-
-    #[test]
-    fn math_mode_sweep_covers_modes() {
-        // Not under HSBP_MATH here: the suite may run with it set, in which
-        // case every mode is pinned to the env's single mode.
-        let full = math_modes_for_mode("full");
-        let smoke = math_modes_for_mode("smoke");
-        if std::env::var(hsbp_core::HSBP_MATH_ENV).is_ok() {
-            assert_eq!(full.len(), 1);
-            assert_eq!(smoke, full);
-        } else {
-            assert_eq!(full, vec![MathMode::Exact, MathMode::Table]);
-            assert_eq!(smoke, vec![MathMode::Exact]);
+    fn check_rejects_baselines_of_other_schemas() {
+        let current = one_line_report("g", "A-SBP", 100.0, 1e8);
+        for old in [
+            r#"{"schema_version": 3, "calibration_ops_per_s": 1e8, "graphs": []}"#,
+            r#"{"calibration_ops_per_s": 1e8, "graphs": []}"#,
+        ] {
+            let err = compare_reports(&current, &parse(old).unwrap(), 0.15).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
         }
+    }
+
+    #[test]
+    fn committed_baseline_is_current_schema() {
+        let text = include_str!("../../../BENCH_mcmc.json");
+        let baseline = parse(text).unwrap();
+        let current = one_line_report("dcsbm_smoke", "SBP", 1.0, 1e8);
+        let lines = compare_reports(&current, &baseline, 0.15).unwrap();
+        assert_eq!(lines.len(), 1, "one SBP t=1 line on dcsbm_smoke");
     }
 
     #[test]

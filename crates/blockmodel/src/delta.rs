@@ -15,11 +15,10 @@
 //! logical state — a prerequisite for bit-identical incremental sweep
 //! consolidation.
 
-use crate::fastmath::{ExactKernel, MathMode, MdlKernel, TableKernel};
+use crate::fastmath::ll_term;
 use crate::model::{Block, Blockmodel};
 use hsbp_collections::{ScratchCounter, SplitMix64};
 use hsbp_graph::{Graph, Vertex, Weight};
-use std::sync::Mutex;
 
 /// Census of a vertex's neighbourhood by block: how many edge endpoints `v`
 /// has in each block, split by direction, with self-loops separated.
@@ -179,58 +178,6 @@ pub struct ProposalArena {
     pub batch: ProposalBatch,
 }
 
-/// A shared pool of [`ProposalArena`]s for parallel sweeps whose worker
-/// closures are re-created per chunk (`map_init` under the vendored rayon
-/// shim). Leasing pops a warmed arena; dropping the lease returns it.
-#[derive(Debug, Default)]
-pub struct ArenaPool {
-    arenas: Mutex<Vec<ProposalArena>>,
-}
-
-impl ArenaPool {
-    /// Empty pool; arenas are created on first lease and recycled after.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Borrow an arena (warmed if one is available, fresh otherwise).
-    pub fn lease(&self) -> ArenaLease<'_> {
-        let arena = match self.arenas.lock() {
-            Ok(mut guard) => guard.pop().unwrap_or_default(),
-            Err(_) => ProposalArena::default(),
-        };
-        ArenaLease { pool: self, arena }
-    }
-}
-
-/// RAII lease over a pooled [`ProposalArena`]; returns it on drop.
-#[derive(Debug)]
-pub struct ArenaLease<'a> {
-    pool: &'a ArenaPool,
-    arena: ProposalArena,
-}
-
-impl std::ops::Deref for ArenaLease<'_> {
-    type Target = ProposalArena;
-    fn deref(&self) -> &ProposalArena {
-        &self.arena
-    }
-}
-
-impl std::ops::DerefMut for ArenaLease<'_> {
-    fn deref_mut(&mut self) -> &mut ProposalArena {
-        &mut self.arena
-    }
-}
-
-impl Drop for ArenaLease<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut guard) = self.pool.arenas.lock() {
-            guard.push(std::mem::take(&mut self.arena));
-        }
-    }
-}
-
 /// Result of evaluating a proposed vertex move.
 #[derive(Debug, Clone, Copy)]
 pub struct MoveEval {
@@ -281,9 +228,8 @@ fn snapshot(scratch: &mut EvalScratch, bm: &Blockmodel, from: Block, to: Block) 
 
 /// Sum of Eq.-1 terms over the affected entries with the image's current
 /// values and degrees. Iterates each counter in key order, so the float sum
-/// is deterministic. Monomorphized per [`MdlKernel`] so the exact path keeps
-/// its original instruction stream.
-fn likelihood_part<K: MdlKernel>(
+/// is deterministic.
+fn likelihood_part(
     scratch: &mut EvalScratch,
     bm: &Blockmodel,
     from: Block,
@@ -302,19 +248,19 @@ fn likelihood_part<K: MdlKernel>(
     let mut total = 0.0;
     let d_out_from = deg.d_out_from as f64;
     scratch.row_from.for_each_sorted(|t, b| {
-        total += K::ll_term(b as f64, d_out_from, d_in_of(t));
+        total += ll_term(b as f64, d_out_from, d_in_of(t));
     });
     let d_out_to = deg.d_out_to as f64;
     scratch.row_to.for_each_sorted(|t, b| {
-        total += K::ll_term(b as f64, d_out_to, d_in_of(t));
+        total += ll_term(b as f64, d_out_to, d_in_of(t));
     });
     let d_in_from = deg.d_in_from as f64;
     scratch.col_from.for_each_sorted(|a, b| {
-        total += K::ll_term(b as f64, bm.d_out(a) as f64, d_in_from);
+        total += ll_term(b as f64, bm.d_out(a) as f64, d_in_from);
     });
     let d_in_to = deg.d_in_to as f64;
     scratch.col_to.for_each_sorted(|a, b| {
-        total += K::ll_term(b as f64, bm.d_out(a) as f64, d_in_to);
+        total += ll_term(b as f64, bm.d_out(a) as f64, d_in_to);
     });
     total
 }
@@ -401,34 +347,6 @@ pub fn evaluate_move_with(
     counts: &NeighborCounts,
     scratch: &mut EvalScratch,
 ) -> MoveEval {
-    evaluate_move_kernel::<ExactKernel>(bm, from, to, counts, scratch)
-}
-
-/// [`evaluate_move_with`] under an explicit [`MathMode`]. The mode is
-/// dispatched once per call into a monomorphized kernel; `Exact` is the
-/// original libm path, `Table` serves the `ln` terms from the precomputed
-/// table (bit-identical for the integer counts the hot path produces).
-pub fn evaluate_move_with_mode(
-    bm: &Blockmodel,
-    from: Block,
-    to: Block,
-    counts: &NeighborCounts,
-    scratch: &mut EvalScratch,
-    mode: MathMode,
-) -> MoveEval {
-    match mode {
-        MathMode::Exact => evaluate_move_kernel::<ExactKernel>(bm, from, to, counts, scratch),
-        MathMode::Table => evaluate_move_kernel::<TableKernel>(bm, from, to, counts, scratch),
-    }
-}
-
-fn evaluate_move_kernel<K: MdlKernel>(
-    bm: &Blockmodel,
-    from: Block,
-    to: Block,
-    counts: &NeighborCounts,
-    scratch: &mut EvalScratch,
-) -> MoveEval {
     if from == to {
         return MoveEval {
             delta_mdl: 0.0,
@@ -436,7 +354,7 @@ fn evaluate_move_kernel<K: MdlKernel>(
         };
     }
     let mut deg = snapshot(scratch, bm, from, to);
-    let old_part = likelihood_part::<K>(scratch, bm, from, to, &deg);
+    let old_part = likelihood_part(scratch, bm, from, to, &deg);
 
     // Combined neighbour-block census (both directions; self-loops toward
     // the *current* block of v, i.e. `from`).
@@ -465,7 +383,7 @@ fn evaluate_move_kernel<K: MdlKernel>(
     }
 
     apply_image(scratch, counts, from, to, &mut deg);
-    let new_part = likelihood_part::<K>(scratch, bm, from, to, &deg);
+    let new_part = likelihood_part(scratch, bm, from, to, &deg);
 
     // Backward probability uses the post-move matrix (labels of the census
     // unchanged, matching the reference implementation).
@@ -556,30 +474,6 @@ pub fn delta_mdl_merge(bm: &Blockmodel, r: Block, s: Block) -> f64 {
 /// from `C → C−1` is *not* included; add
 /// [`crate::mdl::model_complexity_delta`] for the full ΔMDL.
 pub fn delta_mdl_merge_with(bm: &Blockmodel, r: Block, s: Block, scratch: &mut EvalScratch) -> f64 {
-    delta_mdl_merge_kernel::<ExactKernel>(bm, r, s, scratch)
-}
-
-/// [`delta_mdl_merge_with`] under an explicit [`MathMode`] (see
-/// [`evaluate_move_with_mode`] for the mode semantics).
-pub fn delta_mdl_merge_with_mode(
-    bm: &Blockmodel,
-    r: Block,
-    s: Block,
-    scratch: &mut EvalScratch,
-    mode: MathMode,
-) -> f64 {
-    match mode {
-        MathMode::Exact => delta_mdl_merge_kernel::<ExactKernel>(bm, r, s, scratch),
-        MathMode::Table => delta_mdl_merge_kernel::<TableKernel>(bm, r, s, scratch),
-    }
-}
-
-fn delta_mdl_merge_kernel<K: MdlKernel>(
-    bm: &Blockmodel,
-    r: Block,
-    s: Block,
-    scratch: &mut EvalScratch,
-) -> f64 {
     if r == s {
         return 0.0;
     }
@@ -587,19 +481,19 @@ fn delta_mdl_merge_kernel<K: MdlKernel>(
     // already counted in those rows.
     let mut old_part = 0.0;
     for (t, b) in bm.row(r).iter() {
-        old_part += K::ll_term(b as f64, bm.d_out(r) as f64, bm.d_in(t) as f64);
+        old_part += ll_term(b as f64, bm.d_out(r) as f64, bm.d_in(t) as f64);
     }
     for (t, b) in bm.row(s).iter() {
-        old_part += K::ll_term(b as f64, bm.d_out(s) as f64, bm.d_in(t) as f64);
+        old_part += ll_term(b as f64, bm.d_out(s) as f64, bm.d_in(t) as f64);
     }
     for (a, b) in bm.col(r).iter() {
         if a != r && a != s {
-            old_part += K::ll_term(b as f64, bm.d_out(a) as f64, bm.d_in(r) as f64);
+            old_part += ll_term(b as f64, bm.d_out(a) as f64, bm.d_in(r) as f64);
         }
     }
     for (a, b) in bm.col(s).iter() {
         if a != r && a != s {
-            old_part += K::ll_term(b as f64, bm.d_out(a) as f64, bm.d_in(s) as f64);
+            old_part += ll_term(b as f64, bm.d_out(a) as f64, bm.d_in(s) as f64);
         }
     }
 
@@ -631,10 +525,10 @@ fn delta_mdl_merge_kernel<K: MdlKernel>(
 
     let mut new_part = 0.0;
     scratch.row_from.for_each_sorted(|t, b| {
-        new_part += K::ll_term(b as f64, d_out_merged, d_in_of(t));
+        new_part += ll_term(b as f64, d_out_merged, d_in_of(t));
     });
     scratch.col_from.for_each_sorted(|a, b| {
-        new_part += K::ll_term(b as f64, bm.d_out(a) as f64, d_in_merged);
+        new_part += ll_term(b as f64, bm.d_out(a) as f64, d_in_merged);
     });
     old_part - new_part
 }
@@ -684,19 +578,6 @@ mod tests {
             assert_eq!(counts.in_counts, fresh.in_counts, "v={v}");
             assert_eq!(counts.self_loops, fresh.self_loops, "v={v}");
         }
-    }
-
-    #[test]
-    fn arena_pool_recycles() {
-        let pool = ArenaPool::new();
-        {
-            let mut lease = pool.lease();
-            lease.counts.out_counts.push((1, 1));
-        }
-        let lease = pool.lease();
-        // The recycled arena keeps its buffers (contents are overwritten by
-        // gather_into before each use).
-        assert!(lease.counts.out_counts.capacity() >= 1);
     }
 
     #[test]
@@ -757,52 +638,6 @@ mod tests {
                 (fast - slow).abs() < 1e-9,
                 "v={v}: fast {fast} vs slow {slow}"
             );
-        }
-    }
-
-    #[test]
-    fn table_mode_matches_exact_bitwise_on_integer_counts() {
-        // All counts and degrees in a blockmodel are small integers, so the
-        // table kernel must reproduce the exact kernel bit-for-bit.
-        let g = ring(8);
-        let bm = Blockmodel::from_assignment(&g, vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
-        let mut arena = ProposalArena::default();
-        for v in 0..8u32 {
-            let from = bm.block_of(v);
-            NeighborCounts::gather_into(
-                &g,
-                bm.assignment(),
-                v,
-                &mut arena.scratch,
-                &mut arena.counts,
-            );
-            for to in 0..4u32 {
-                let exact = evaluate_move_with_mode(
-                    &bm,
-                    from,
-                    to,
-                    &arena.counts,
-                    &mut arena.eval,
-                    MathMode::Exact,
-                );
-                let table = evaluate_move_with_mode(
-                    &bm,
-                    from,
-                    to,
-                    &arena.counts,
-                    &mut arena.eval,
-                    MathMode::Table,
-                );
-                assert_eq!(exact.delta_mdl.to_bits(), table.delta_mdl.to_bits());
-                assert_eq!(exact.hastings.to_bits(), table.hastings.to_bits());
-            }
-        }
-        for r in 0..4u32 {
-            for s in 0..4u32 {
-                let exact = delta_mdl_merge_with_mode(&bm, r, s, &mut arena.eval, MathMode::Exact);
-                let table = delta_mdl_merge_with_mode(&bm, r, s, &mut arena.eval, MathMode::Table);
-                assert_eq!(exact.to_bits(), table.to_bits(), "merge {r}->{s}");
-            }
         }
     }
 

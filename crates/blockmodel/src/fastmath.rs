@@ -1,190 +1,80 @@
-//! `MathMode` and the delta-MDL math kernels.
+//! The delta-MDL term, with its `ln`s served from a table.
 //!
 //! The per-proposal delta evaluation spends most of its time in
-//! `x·ln x`-shaped terms over sparse B-matrix entries whose arguments are
-//! small integer counts. [`MathMode`] selects how those terms are computed:
-//!
-//! * [`MathMode::Exact`] — libm `ln` exactly as the pre-fastmath tree did.
-//!   This path is property-pinned bit-identical to the original code.
-//! * [`MathMode::Table`] — serve `ln`/`x·ln x` from the precomputed tables
-//!   in [`hsbp_collections::fastmath`]. Table entries are computed with the
-//!   same `f64::ln`, and non-integer/above-cap arguments fall back to libm,
-//!   so for the integer counts the hot path feeds it the result is
-//!   bit-identical to `Exact` — the mode changes the *cost* of a term, not
-//!   its value. The exactness property tests in `hsbp-core` pin that
-//!   equivalence end-to-end (identical accept/reject trace and MDL bits).
-//!
-//! Kernels are monomorphized: the mode is dispatched once per public call
-//! (`evaluate_move_with_mode`, `delta_mdl_merge_with_mode`, …), not per
-//! term, so `Exact` keeps exactly the old instruction stream.
+//! `b·ln(b/(d_out·d_in))` terms over sparse B-matrix entries whose
+//! arguments are integer counts and block degrees. [`ll_term`] keeps the
+//! exact association of [`crate::mdl::log_likelihood_term`] — the libm
+//! reference that full-MDL recomputation uses — and takes each `ln` from
+//! the precomputed table in [`hsbp_collections::fastmath`]. Table entries
+//! are computed with the same `f64::ln`, and non-integer or above-cap
+//! arguments fall back to libm, so the term is bit-identical to the
+//! reference for every argument: the table changes the *cost* of a term,
+//! never its value.
 
-// One audited home for the log helpers: re-export the collections module so
-// downstream crates (metrics, bench, CLI) can reach it through blockmodel.
-pub use hsbp_collections::fastmath::{
-    ln, ln_lookup, table, table_cap, xlnx, xlnx_lookup, xlny, LnTable, DEFAULT_TABLE_CAP,
-    HSBP_MATH_CAP_ENV, MAX_TABLE_CAP, MIN_TABLE_CAP,
-};
+use hsbp_collections::fastmath::ln_lookup;
 
-/// Environment variable selecting the default math mode (`exact`/`table`).
-pub const HSBP_MATH_ENV: &str = "HSBP_MATH";
-
-/// How delta-MDL terms are computed. See the module docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MathMode {
-    /// libm `ln` per term — the original, property-pinned path.
-    #[default]
-    Exact,
-    /// Precomputed `ln`/`x·ln x` table lookups for integer counts, exact
-    /// fallback otherwise.
-    Table,
-}
-
-impl MathMode {
-    /// Stable lowercase name (CLI/bench/JSON spelling).
-    pub fn name(&self) -> &'static str {
-        match self {
-            MathMode::Exact => "exact",
-            MathMode::Table => "table",
-        }
-    }
-
-    /// Parse a CLI/env spelling (case-insensitive).
-    pub fn parse(s: &str) -> Option<MathMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "exact" => Some(MathMode::Exact),
-            "table" => Some(MathMode::Table),
-            _ => None,
-        }
-    }
-
-    /// Mode selected by the `HSBP_MATH` environment variable, defaulting to
-    /// `Exact` when unset or unparsable.
-    pub fn from_env() -> MathMode {
-        std::env::var(HSBP_MATH_ENV)
-            .ok()
-            .and_then(|v| MathMode::parse(&v))
-            .unwrap_or_default()
-    }
-}
-
-/// One delta-MDL term implementation; monomorphized into the kernels.
-pub trait MdlKernel {
-    /// `B_rs · ln(B_rs / (d_out_r · d_in_s))` with the zero-cell convention
-    /// (zero for `b <= 0`).
-    fn ll_term(b: f64, d_out: f64, d_in: f64) -> f64;
-
-    /// `h(x) = (1+x)·ln(1+x) − x·ln x`, zero at `x <= 0`.
-    fn entropy_term(x: f64) -> f64;
-}
-
-/// The original libm path. `ll_term` delegates to
-/// [`crate::mdl::log_likelihood_term`], so it is bit-identical to the
-/// pre-fastmath code by construction.
-pub struct ExactKernel;
-
-impl MdlKernel for ExactKernel {
-    #[inline]
-    fn ll_term(b: f64, d_out: f64, d_in: f64) -> f64 {
-        crate::mdl::log_likelihood_term(b, d_out, d_in)
-    }
-
-    #[inline]
-    fn entropy_term(x: f64) -> f64 {
-        crate::mdl::dcsbm_entropy_term(x)
-    }
-}
-
-/// Table-served logs: integer arguments below the cap are loads, everything
-/// else falls back to the exact computation.
-pub struct TableKernel;
-
-impl MdlKernel for TableKernel {
-    #[inline]
-    fn ll_term(b: f64, d_out: f64, d_in: f64) -> f64 {
-        if b <= 0.0 {
-            0.0
-        } else {
-            debug_assert!(
-                d_out > 0.0 && d_in > 0.0,
-                "non-empty cell with zero block degree"
-            );
-            // Same association as the exact path — b * (ln b - ln d_out -
-            // ln d_in) — with each ln served from the table, so in-range
-            // integer arguments reproduce the exact result bit-for-bit.
-            b * (ln_lookup(b) - ln_lookup(d_out) - ln_lookup(d_in))
-        }
-    }
-
-    #[inline]
-    fn entropy_term(x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            // (1+x)ln(1+x) computed as xlnx(1+x): identical multiply of
-            // identical factors, table-served when 1+x is an in-range
-            // integer.
-            xlnx_lookup(1.0 + x) - xlnx_lookup(x)
-        }
+/// `B_rs · ln(B_rs / (d_out_r · d_in_s))`, zero for an empty cell, with
+/// every `ln` served from the table.
+#[inline]
+pub fn ll_term(b: f64, d_out: f64, d_in: f64) -> f64 {
+    if b <= 0.0 {
+        0.0
+    } else {
+        debug_assert!(
+            d_out > 0.0 && d_in > 0.0,
+            "non-empty cell with zero block degree"
+        );
+        // Same association as the reference: b * (ln b - ln d_out - ln d_in).
+        b * (ln_lookup(b) - ln_lookup(d_out) - ln_lookup(d_in))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdl::log_likelihood_term;
+    use hsbp_collections::fastmath::LN_TABLE_CAP;
 
-    #[test]
-    fn mode_names_roundtrip() {
-        for mode in [MathMode::Exact, MathMode::Table] {
-            assert_eq!(MathMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(MathMode::parse("TABLE"), Some(MathMode::Table));
-        assert_eq!(MathMode::parse(" exact "), Some(MathMode::Exact));
-        assert_eq!(MathMode::parse("fast"), None);
-        assert_eq!(MathMode::default(), MathMode::Exact);
+    fn assert_same_bits(b: f64, d_out: f64, d_in: f64) {
+        assert_eq!(
+            ll_term(b, d_out, d_in).to_bits(),
+            log_likelihood_term(b, d_out, d_in).to_bits(),
+            "ll_term diverged at ({b}, {d_out}, {d_in})"
+        );
     }
 
     #[test]
-    fn table_kernel_is_bit_identical_on_integer_counts() {
-        // The hot path only ever feeds integer counts/degrees below the cap;
-        // the table must reproduce the exact term bit-for-bit there.
-        for b in [0_u64, 1, 2, 3, 17, 255, 4096] {
-            for d_out in [1_u64, 2, 9, 1023, 50_000] {
-                for d_in in [1_u64, 5, 77, 60_000] {
-                    let (bf, of, inf) = (b as f64, d_out as f64, d_in as f64);
-                    assert_eq!(
-                        TableKernel::ll_term(bf, of, inf).to_bits(),
-                        ExactKernel::ll_term(bf, of, inf).to_bits(),
-                        "ll_term diverged at ({b}, {d_out}, {d_in})"
-                    );
+    fn ll_term_matches_libm_reference_bitwise() {
+        // Degrees on both sides of the table cap: served, last served,
+        // first fallback, and far above.
+        let cap = LN_TABLE_CAP as f64;
+        let degrees = [1.0, cap - 1.0, cap, 65_535.0, 1e6];
+        // Every table-served cell count against every degree pair.
+        for b in 0..LN_TABLE_CAP {
+            for &d_out in &degrees {
+                for &d_in in &degrees {
+                    assert_same_bits(b as f64, d_out, d_in);
                 }
             }
         }
-        for x in [0_u64, 1, 2, 100, 65_000] {
-            let xf = x as f64;
-            assert_eq!(
-                TableKernel::entropy_term(xf).to_bits(),
-                ExactKernel::entropy_term(xf).to_bits(),
-                "entropy_term diverged at {x}"
-            );
+        // Cell counts past the cap fall back to libm.
+        for &b in &[cap, 65_535.0, 1e6] {
+            for &d in &degrees {
+                assert_same_bits(b, d, 1e6);
+            }
         }
     }
 
     #[test]
-    fn table_kernel_fractional_args_fall_back_within_tolerance() {
-        // dcsbm_entropy_term takes the fractional C²/E; the table path must
-        // agree with exact to far better than the 1e-9 delta contract.
-        for &x in &[0.017, 0.5, 1.2, 33.75, 1e6 + 0.25] {
-            let t = TableKernel::entropy_term(x);
-            let e = ExactKernel::entropy_term(x);
-            assert!(
-                (t - e).abs() <= 1e-12 * e.abs().max(1.0),
-                "x={x}: {t} vs {e}"
-            );
-        }
-        for &(b, o, i) in &[(2.5, 7.0, 9.0), (3.0, 6.5, 2.0), (1e9, 2e9, 3e9)] {
-            let t = TableKernel::ll_term(b, o, i);
-            let e = ExactKernel::ll_term(b, o, i);
-            assert!((t - e).abs() <= 1e-9 * e.abs().max(1.0));
+    fn ll_term_matches_libm_reference_on_fractional_args() {
+        for &(b, d_out, d_in) in &[
+            (2.5, 7.0, 9.0),
+            (3.0, 6.5, 2.0),
+            (0.25, 0.5, 0.75),
+            (1e9 + 0.5, 2e9, 3e9),
+            (-1.0, 4.0, 4.0),
+        ] {
+            assert_same_bits(b, d_out, d_in);
         }
     }
 }

@@ -14,9 +14,9 @@
 //!   vertex move or block merge, without mutating the model,
 //! * [`propose`] — the Metropolis-Hastings proposal distribution over target
 //!   blocks and the Hastings correction factor,
-//! * [`fastmath`] — [`MathMode`] and the exact/table delta-MDL kernels
-//!   (precomputed `ln`/`x·ln x` tables for the integer counts that dominate
-//!   the hot path).
+//! * [`fastmath`] — the delta-MDL term with its `ln`s served from a
+//!   precomputed table for the integer counts that dominate the hot path
+//!   (bit-identical to the libm reference in [`mdl`]).
 //!
 //! The key invariant maintained everywhere: `rows[r]` and `cols[s]` are two
 //! views of the same matrix (`rows[r][s] == cols[s][r]`), `d_out[r]` is the
@@ -36,14 +36,10 @@ pub mod propose;
 
 pub use audit::{audit_blockmodel, repair_blockmodel, DriftReport};
 pub use delta::{
-    delta_mdl_merge, delta_mdl_merge_with, delta_mdl_merge_with_mode, delta_mdl_move,
-    evaluate_move, evaluate_move_with, evaluate_move_with_mode, ArenaLease, ArenaPool, EvalScratch,
-    MoveEval, MoveScratch, NeighborCounts, ProposalArena, ProposalBatch,
+    delta_mdl_merge, delta_mdl_merge_with, delta_mdl_move, evaluate_move, evaluate_move_with,
+    EvalScratch, MoveEval, MoveScratch, NeighborCounts, ProposalArena, ProposalBatch,
 };
-pub use fastmath::{MathMode, HSBP_MATH_ENV};
-pub use mdl::{
-    dcsbm_entropy_term, dcsbm_entropy_term_mode, log_likelihood_term, log_likelihood_term_mode, Mdl,
-};
+pub use mdl::{dcsbm_entropy_term, log_likelihood_term, Mdl};
 pub use model::{Block, Blockmodel};
 pub use propose::{
     accept_move, hastings_correction, propose_block, propose_block_frozen, propose_merge_target,

@@ -8,7 +8,6 @@
 //! the paper's normalized MDL is `MDL / MDL_null` and is comparable across
 //! graphs.
 
-use crate::fastmath::{ExactKernel, MathMode, MdlKernel, TableKernel};
 use crate::model::Blockmodel;
 
 /// `h(x) = (1+x)ln(1+x) − x·ln x`, the binary-entropy-like term of Eq. 2.
@@ -23,7 +22,8 @@ pub fn dcsbm_entropy_term(x: f64) -> f64 {
 }
 
 /// One cell's contribution to `L(G|B)`: `b·ln(b/(d_out·d_in))`, 0 when the
-/// cell is empty.
+/// cell is empty. This is the libm reference; the delta kernels use the
+/// table-served [`crate::fastmath::ll_term`], which is bit-identical to it.
 #[inline]
 pub fn log_likelihood_term(b: f64, d_out: f64, d_in: f64) -> f64 {
     if b <= 0.0 {
@@ -34,28 +34,6 @@ pub fn log_likelihood_term(b: f64, d_out: f64, d_in: f64) -> f64 {
             "non-empty cell with zero block degree"
         );
         b * (b.ln() - d_out.ln() - d_in.ln())
-    }
-}
-
-/// [`dcsbm_entropy_term`] computed under a [`MathMode`]: `Exact` is the
-/// function above, `Table` serves integer arguments from the precomputed
-/// `x·ln x` table (bit-identical there, exact fallback otherwise).
-#[inline]
-pub fn dcsbm_entropy_term_mode(x: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Exact => ExactKernel::entropy_term(x),
-        MathMode::Table => TableKernel::entropy_term(x),
-    }
-}
-
-/// [`log_likelihood_term`] computed under a [`MathMode`]: `Exact` is the
-/// function above, `Table` serves integer counts/degrees from the
-/// precomputed `ln` table (bit-identical there, exact fallback otherwise).
-#[inline]
-pub fn log_likelihood_term_mode(b: f64, d_out: f64, d_in: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Exact => ExactKernel::ll_term(b, d_out, d_in),
-        MathMode::Table => TableKernel::ll_term(b, d_out, d_in),
     }
 }
 
@@ -155,24 +133,6 @@ mod tests {
     #[test]
     fn likelihood_term_zero_cell() {
         assert_eq!(log_likelihood_term(0.0, 5.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn mode_variants_agree_on_hot_path_arguments() {
-        for mode in [MathMode::Exact, MathMode::Table] {
-            assert_eq!(
-                log_likelihood_term_mode(4.0, 12.0, 9.0, mode).to_bits(),
-                log_likelihood_term(4.0, 12.0, 9.0).to_bits()
-            );
-            assert_eq!(log_likelihood_term_mode(0.0, 5.0, 5.0, mode), 0.0);
-            assert_eq!(
-                dcsbm_entropy_term_mode(3.0, mode).to_bits(),
-                dcsbm_entropy_term(3.0).to_bits()
-            );
-            // Fractional argument (the C²/E shape) stays within 1e-12.
-            let x = 0.734_218;
-            assert!((dcsbm_entropy_term_mode(x, mode) - dcsbm_entropy_term(x)).abs() < 1e-12);
-        }
     }
 
     #[test]

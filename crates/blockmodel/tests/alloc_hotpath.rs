@@ -10,8 +10,8 @@
 //! the counter. Keep every allocation-sensitive assertion in `hot_path`.
 
 use hsbp_blockmodel::{
-    evaluate_move_with_mode, propose::accept_move, propose_block, Blockmodel, MathMode,
-    NeighborCounts, ProposalArena,
+    evaluate_move_with, propose::accept_move, propose_block, Blockmodel, NeighborCounts,
+    ProposalArena,
 };
 use hsbp_collections::SplitMix64;
 use hsbp_generator::{generate, DcsbmConfig};
@@ -61,50 +61,47 @@ fn hot_path() {
     let mut arena = ProposalArena::default();
     let n = graph.num_vertices() as u32;
 
-    // Both math modes must be allocation-free; the Table mode's lazy table
-    // build happens during the warmup pass, not in steady state.
-    for mode in [MathMode::Exact, MathMode::Table] {
-        // One full pass to warm the arena (and the blockmodel's own rows).
-        let proposal = |bm: &mut Blockmodel, arena: &mut ProposalArena, sweep: u64, v: u32| {
-            let mut rng = SplitMix64::for_item(9, sweep, u64::from(v));
-            let from = bm.block_of(v);
-            let to = propose_block(graph, bm, bm.assignment(), v, &mut rng);
-            if to == from {
-                return;
-            }
-            NeighborCounts::gather_into(
-                graph,
-                bm.assignment(),
-                v,
-                &mut arena.scratch,
-                &mut arena.counts,
-            );
-            let eval = evaluate_move_with_mode(bm, from, to, &arena.counts, &mut arena.eval, mode);
-            if accept_move(&eval, 3.0, &mut rng) {
-                bm.apply_move(v, from, to, &arena.counts);
-            }
-        };
-        for v in 0..n {
-            proposal(&mut bm, &mut arena, 0, v);
+    // One full pass to warm the arena, the blockmodel's own rows and the
+    // lazily built `ln` table.
+    let proposal = |bm: &mut Blockmodel, arena: &mut ProposalArena, sweep: u64, v: u32| {
+        let mut rng = SplitMix64::for_item(9, sweep, u64::from(v));
+        let from = bm.block_of(v);
+        let to = propose_block(graph, bm, bm.assignment(), v, &mut rng);
+        if to == from {
+            return;
         }
-
-        // Steady state: count allocations over full sweeps.
-        let sweeps = 5u64;
-        let before = allocations();
-        for sweep in 1..=sweeps {
-            for v in 0..n {
-                proposal(&mut bm, &mut arena, sweep, v);
-            }
+        NeighborCounts::gather_into(
+            graph,
+            bm.assignment(),
+            v,
+            &mut arena.scratch,
+            &mut arena.counts,
+        );
+        let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
+        if accept_move(&eval, 3.0, &mut rng) {
+            bm.apply_move(v, from, to, &arena.counts);
         }
-        let delta = allocations() - before;
-        let per_proposal = delta as f64 / (sweeps * u64::from(n)) as f64;
-        eprintln!(
-            "hot path ({mode:?}): {delta} allocations over {} proposals ({per_proposal:.3} per proposal)",
-            sweeps * u64::from(n)
-        );
-        assert_eq!(
-            delta, 0,
-            "steady-state {mode:?} proposal loop must not allocate ({per_proposal:.3} allocations/proposal)"
-        );
+    };
+    for v in 0..n {
+        proposal(&mut bm, &mut arena, 0, v);
     }
+
+    // Steady state: count allocations over full sweeps.
+    let sweeps = 5u64;
+    let before = allocations();
+    for sweep in 1..=sweeps {
+        for v in 0..n {
+            proposal(&mut bm, &mut arena, sweep, v);
+        }
+    }
+    let delta = allocations() - before;
+    let per_proposal = delta as f64 / (sweeps * u64::from(n)) as f64;
+    eprintln!(
+        "hot path: {delta} allocations over {} proposals ({per_proposal:.3} per proposal)",
+        sweeps * u64::from(n)
+    );
+    assert_eq!(
+        delta, 0,
+        "steady-state proposal loop must not allocate ({per_proposal:.3} allocations/proposal)"
+    );
 }

@@ -1,6 +1,8 @@
 //! Property tests for the blockmodel: the O(degree) incremental deltas and
 //! in-place updates must agree exactly (to floating tolerance) with full
-//! recomputation on arbitrary random graphs and partitions.
+//! recomputation on arbitrary random graphs and partitions. The deltas take
+//! their `ln`s from the table; the recomputation is the libm reference
+//! `mdl::log_likelihood`.
 
 use hsbp_blockmodel::{delta_mdl_merge, delta_mdl_move, mdl, Blockmodel, NeighborCounts};
 use hsbp_graph::Graph;
@@ -21,7 +23,7 @@ fn arb_instance() -> impl Strategy<Value = (Graph, Vec<u32>, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast vertex-move delta == brute-force likelihood recompute.
+    /// Fast (table-served) vertex-move delta == brute-force libm recompute.
     #[test]
     fn move_delta_matches_recompute((g, assignment, c) in arb_instance(), vsel in any::<u32>(), tsel in any::<u32>()) {
         let bm = Blockmodel::from_assignment(&g, assignment.clone(), c);
@@ -38,7 +40,7 @@ proptest! {
         prop_assert!((fast - slow).abs() < 1e-8, "fast {} slow {}", fast, slow);
     }
 
-    /// Fast merge delta == brute-force likelihood recompute.
+    /// Fast (table-served) merge delta == brute-force libm recompute.
     #[test]
     fn merge_delta_matches_recompute((g, assignment, c) in arb_instance(), rsel in any::<u32>(), ssel in any::<u32>()) {
         let bm = Blockmodel::from_assignment(&g, assignment.clone(), c);

@@ -1,46 +1,25 @@
-//! Shared logarithm helpers and the precomputed `ln`/`x·ln x` tables
-//! behind `MathMode::Table`.
+//! Shared entropy helper and the precomputed `ln` table behind the
+//! delta-MDL kernel.
 //!
-//! Delta-MDL evaluation is a sum of `x·ln x`-shaped terms whose arguments
-//! are overwhelmingly *small integer counts* (sparse B-matrix cells and
-//! block degrees). A table of `ln i` / `i·ln i` for `i` below a cap turns
-//! each libm `ln` call in the hot loop into a load — and because every
-//! table entry is computed with the very same `f64::ln` the exact path
-//! uses, a lookup for an in-range integer argument is *bit-identical* to
-//! calling `ln` directly. Non-integer or above-cap arguments fall back to
-//! libm, so the table never changes a result, only its cost.
+//! Delta-MDL evaluation is a sum of `b·ln(b/(d_out·d_in))` terms whose
+//! arguments are overwhelmingly *small integer counts* (sparse B-matrix
+//! cells and block degrees). A table of `ln i` for `i` below
+//! [`LN_TABLE_CAP`] turns each libm `ln` call in the hot loop into a load —
+//! and because every table entry is computed with the very same `f64::ln`,
+//! a lookup for an in-range integer argument is *bit-identical* to calling
+//! `ln` directly. Non-integer or above-cap arguments fall back to libm, so
+//! the table never changes a result, only its cost.
 //!
-//! The table is built lazily on first use and sized by
-//! [`HSBP_MATH_CAP_ENV`] (default [`DEFAULT_TABLE_CAP`] entries, clamped
-//! to `[MIN_TABLE_CAP, MAX_TABLE_CAP]`).
-//!
-//! This module is also the one audited home of the scattered entropy-term
-//! math: [`ln`], [`xlnx`] and [`xlny`] are the exact (libm) forms that
-//! metrics/generator/graph call instead of open-coding `.ln()`.
+//! The table is built lazily on first use.
 
 use std::sync::OnceLock;
 
-/// Environment variable that sizes the lookup tables (number of integer
-/// entries, i.e. the exclusive cap on table-served arguments).
-pub const HSBP_MATH_CAP_ENV: &str = "HSBP_MATH_CAP";
-
-/// Default table size: 2^16 entries (two tables × 8 bytes ≈ 1 MiB, of
-/// which only the small-count prefix is hot).
-pub const DEFAULT_TABLE_CAP: usize = 1 << 16;
-
-/// Smallest accepted table size.
-pub const MIN_TABLE_CAP: usize = 1 << 10;
-
-/// Largest accepted table size (2^24 entries ≈ 256 MiB for both tables —
-/// already far past any sane configuration).
-pub const MAX_TABLE_CAP: usize = 1 << 24;
-
-/// Exact natural logarithm. Passthrough to `f64::ln`, kept so every
-/// entropy-term call site routes through one audited module.
-#[inline]
-pub fn ln(x: f64) -> f64 {
-    x.ln()
-}
+/// Number of integer entries in the `ln` table (the exclusive cap on
+/// table-served arguments): 2^14 entries, 128 KiB. Block degrees at
+/// steady state stay below it on the benchmark graphs, so nearly every
+/// hot-path `ln` is a load; a larger table only adds resident memory
+/// (see DESIGN.md §15 for the measurements behind the choice).
+pub const LN_TABLE_CAP: usize = 1 << 14;
 
 /// Exact `x·ln x` with the entropy convention `0·ln 0 = 0`.
 #[inline]
@@ -52,121 +31,25 @@ pub fn xlnx(x: f64) -> f64 {
     }
 }
 
-/// Exact `x·ln y` (the cross-entropy shape, e.g. `a·ln p` terms).
-#[inline]
-pub fn xlny(x: f64, y: f64) -> f64 {
-    x * y.ln()
+static LN_TABLE: OnceLock<Box<[f64]>> = OnceLock::new();
+
+/// The process-wide table: `ln i` for `0 <= i < LN_TABLE_CAP` (`ln 0` is
+/// `-inf`, matching `(0.0).ln()`).
+fn ln_table() -> &'static [f64] {
+    LN_TABLE.get_or_init(|| (0..LN_TABLE_CAP).map(|i| (i as f64).ln()).collect())
 }
 
-/// Precomputed `ln i` and `i·ln i` for `0 <= i < cap`.
-///
-/// `ln[0]` is `-inf` (matching `(0.0).ln()`); `xlnx[0]` is `0.0`
-/// (the entropy convention, matching [`xlnx`]).
-#[derive(Debug)]
-pub struct LnTable {
-    ln: Box<[f64]>,
-    xlnx: Box<[f64]>,
-}
-
-impl LnTable {
-    /// Build a table with `cap` integer entries.
-    pub fn new(cap: usize) -> Self {
-        let mut ln = Vec::with_capacity(cap);
-        let mut xlnx = Vec::with_capacity(cap);
-        for i in 0..cap {
-            let x = i as f64;
-            let l = x.ln();
-            ln.push(l);
-            xlnx.push(if i == 0 { 0.0 } else { x * l });
-        }
-        Self {
-            ln: ln.into_boxed_slice(),
-            xlnx: xlnx.into_boxed_slice(),
-        }
-    }
-
-    /// Number of integer entries (exclusive cap on table-served arguments).
-    pub fn cap(&self) -> usize {
-        self.ln.len()
-    }
-
-    /// `ln x` — table load when `x` is an integer below the cap,
-    /// `f64::ln` otherwise. Bit-identical to `x.ln()` in both cases.
-    #[inline]
-    pub fn ln(&self, x: f64) -> f64 {
-        let i = x as usize;
-        if i < self.ln.len() && i as f64 == x {
-            self.ln[i]
-        } else {
-            x.ln()
-        }
-    }
-
-    /// `x·ln x` with `0·ln 0 = 0` — table load when `x` is an integer
-    /// below the cap, exact [`xlnx`] otherwise.
-    #[inline]
-    pub fn xlnx(&self, x: f64) -> f64 {
-        let i = x as usize;
-        if i < self.xlnx.len() && i as f64 == x {
-            self.xlnx[i]
-        } else {
-            xlnx(x)
-        }
-    }
-
-    /// Linearly interpolated `x·ln x` between the bracketing integer
-    /// entries, falling back to exact above the cap. Exposed for callers
-    /// that can trade a bounded relative error (the chord of a convex
-    /// function; worst near small `x`) for branch-free throughput on
-    /// fractional arguments. The MDL kernels do **not** use this — they
-    /// only ever serve exact values.
-    #[inline]
-    // The negated comparison is deliberate: it routes NaN to the 0 branch.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn xlnx_lerp(&self, x: f64) -> f64 {
-        if !(x > 0.0) {
-            return 0.0;
-        }
-        let i = x as usize;
-        if i + 1 < self.xlnx.len() {
-            let frac = x - i as f64;
-            self.xlnx[i] + frac * (self.xlnx[i + 1] - self.xlnx[i])
-        } else {
-            xlnx(x)
-        }
-    }
-}
-
-fn table_cap_from_env() -> usize {
-    std::env::var(HSBP_MATH_CAP_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(DEFAULT_TABLE_CAP, |c| c.clamp(MIN_TABLE_CAP, MAX_TABLE_CAP))
-}
-
-static TABLE: OnceLock<LnTable> = OnceLock::new();
-
-/// The process-wide table, built on first use with the cap from
-/// [`HSBP_MATH_CAP_ENV`].
-pub fn table() -> &'static LnTable {
-    TABLE.get_or_init(|| LnTable::new(table_cap_from_env()))
-}
-
-/// Cap of the process-wide table (builds it if needed).
-pub fn table_cap() -> usize {
-    table().cap()
-}
-
-/// Table-served `ln x` (see [`LnTable::ln`]).
+/// `ln x` — a table load when `x` is an integer below [`LN_TABLE_CAP`],
+/// `f64::ln` otherwise. Bit-identical to `x.ln()` in both cases.
 #[inline]
 pub fn ln_lookup(x: f64) -> f64 {
-    table().ln(x)
-}
-
-/// Table-served `x·ln x` (see [`LnTable::xlnx`]).
-#[inline]
-pub fn xlnx_lookup(x: f64) -> f64 {
-    table().xlnx(x)
+    let table = ln_table();
+    let i = x as usize;
+    if i < table.len() && i as f64 == x {
+        table[i]
+    } else {
+        x.ln()
+    }
 }
 
 #[cfg(test)]
@@ -175,83 +58,31 @@ mod tests {
 
     #[test]
     fn table_matches_libm_bitwise_across_integer_domain() {
-        let t = LnTable::new(MIN_TABLE_CAP);
-        for i in 1..t.cap() {
+        for i in 0..LN_TABLE_CAP {
             let x = i as f64;
             assert_eq!(
-                t.ln(x).to_bits(),
+                ln_lookup(x).to_bits(),
                 x.ln().to_bits(),
                 "ln table diverges at {i}"
             );
-            assert_eq!(
-                t.xlnx(x).to_bits(),
-                (x * x.ln()).to_bits(),
-                "xlnx table diverges at {i}"
-            );
-            // The <1e-12 contract is implied by bit-identity, but assert it
-            // in the form the spec states it.
-            assert!((t.ln(x) - x.ln()).abs() < 1e-12);
         }
     }
 
     #[test]
     fn zero_entries_follow_conventions() {
-        let t = LnTable::new(MIN_TABLE_CAP);
-        assert_eq!(t.ln(0.0), f64::NEG_INFINITY);
-        assert_eq!(t.xlnx(0.0), 0.0);
+        assert_eq!(ln_lookup(0.0), f64::NEG_INFINITY);
         assert_eq!(xlnx(0.0), 0.0);
         assert_eq!(xlnx(-3.0), 0.0);
     }
 
     #[test]
-    fn non_integer_and_above_cap_fall_back_to_exact() {
-        let t = LnTable::new(MIN_TABLE_CAP);
-        for &x in &[0.5, 1.75, 3.141_592_653_589_793, 1e7, 1e300] {
-            assert_eq!(t.ln(x).to_bits(), x.ln().to_bits());
-            assert_eq!(t.xlnx(x).to_bits(), (x * x.ln()).to_bits());
-        }
-        let above = (MIN_TABLE_CAP + 17) as f64;
-        assert_eq!(t.ln(above).to_bits(), above.ln().to_bits());
-        assert_eq!(t.xlnx(above).to_bits(), (above * above.ln()).to_bits());
-    }
-
-    #[test]
-    fn lerp_error_is_bounded() {
-        let t = LnTable::new(MIN_TABLE_CAP);
-        // Between integer nodes the chord of the convex x·ln x overshoots by
-        // at most the second-difference bound: for x in [i, i+1] the error is
-        // <= 1/(8·i) in absolute terms (|f''| = 1/x). Check a dense sample.
-        let mut worst = 0.0_f64;
-        for i in 1..(t.cap() - 1) {
-            for step in 1..8 {
-                let x = i as f64 + step as f64 / 8.0;
-                let err = (t.xlnx_lerp(x) - xlnx(x)).abs();
-                let bound = 1.0 / (8.0 * i as f64) + 1e-12;
-                assert!(
-                    err <= bound,
-                    "lerp error {err} exceeds bound {bound} at x={x}"
-                );
-                worst = worst.max(err);
-            }
-        }
-        assert!(worst > 0.0, "lerp should differ from exact somewhere");
-        // Above the cap the lerp path is the exact fallback.
-        let above = t.cap() as f64 + 0.5;
-        assert_eq!(t.xlnx_lerp(above).to_bits(), xlnx(above).to_bits());
-    }
-
-    #[test]
-    fn env_cap_is_clamped() {
-        // table_cap_from_env reads the live environment; emulate the clamp
-        // logic directly on candidate values instead of mutating the env
-        // (tests run multi-threaded).
-        for (raw, want) in [
-            (0_usize, MIN_TABLE_CAP),
-            (1, MIN_TABLE_CAP),
-            (DEFAULT_TABLE_CAP, DEFAULT_TABLE_CAP),
-            (usize::MAX, MAX_TABLE_CAP),
-        ] {
-            assert_eq!(raw.clamp(MIN_TABLE_CAP, MAX_TABLE_CAP), want);
+    fn non_integer_and_above_cap_fall_back_to_libm() {
+        let above = [LN_TABLE_CAP, LN_TABLE_CAP + 17, 1 << 20].map(|i| i as f64);
+        for &x in [0.5, 1.75, std::f64::consts::PI, 1e7, 1e300]
+            .iter()
+            .chain(&above)
+        {
+            assert_eq!(ln_lookup(x).to_bits(), x.ln().to_bits(), "x={x}");
         }
     }
 }

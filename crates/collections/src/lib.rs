@@ -11,8 +11,8 @@
 //! * [`sample`] — O(1) alias-table sampling, cumulative (binary-search)
 //!   sampling and a tiny splitmix-based counter RNG used for deterministic
 //!   per-vertex randomness in parallel sweeps,
-//! * [`fastmath`] — the shared `ln`/`x·ln x` helpers and the precomputed
-//!   lookup tables behind `MathMode::Table`,
+//! * [`fastmath`] — the `x·ln x` entropy helper and the precomputed `ln`
+//!   table behind the delta-MDL kernel,
 //! * [`sparse`] — the sparse row/column vectors backing the blockmodel
 //!   matrix `B` (sorted-vector representation: canonical and deterministic),
 //! * [`scratch`] — epoch-stamped reusable counters so the per-proposal hot

@@ -1,6 +1,5 @@
 //! Run configuration for stochastic block partitioning.
 
-use hsbp_blockmodel::MathMode;
 use hsbp_timing::{Chunking, CostModel, DEFAULT_THREAD_COUNTS};
 
 /// Which MCMC phase algorithm to run.
@@ -115,13 +114,6 @@ pub struct SbpConfig {
     pub inject_drift_at_sweep: Option<usize>,
     /// End-of-sweep consolidation strategy for the parallel variants.
     pub consolidation: Consolidation,
-    /// How delta-MDL terms are computed in the proposal hot path:
-    /// [`MathMode::Exact`] is the property-pinned libm path,
-    /// [`MathMode::Table`] serves the `ln`/`x·ln x` terms from precomputed
-    /// integer tables (bit-identical for in-range integer counts, exact
-    /// fallback otherwise). Defaults to the `HSBP_MATH` env var, `exact`
-    /// when unset.
-    pub math_mode: MathMode,
     /// Cost model for the simulated-thread accounting.
     pub cost_model: CostModel,
     /// Virtual thread counts tracked by the simulated scheduler.
@@ -150,7 +142,6 @@ impl Default for SbpConfig {
             strict_audit: false,
             inject_drift_at_sweep: None,
             consolidation: Consolidation::Auto,
-            math_mode: MathMode::from_env(),
             cost_model: CostModel::default(),
             sim_thread_counts: DEFAULT_THREAD_COUNTS.to_vec(),
             sim_chunking: Chunking::Static,

@@ -26,8 +26,8 @@ use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{
-    evaluate_move_with_mode, propose::accept_move, propose_block_frozen, Block,
-    BlockNeighborSampler, Blockmodel, NeighborCounts, ProposalArena,
+    evaluate_move_with, propose::accept_move, propose_block_frozen, Block, BlockNeighborSampler,
+    Blockmodel, NeighborCounts, ProposalArena,
 };
 use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, Vertex};
@@ -88,7 +88,7 @@ pub(crate) fn evaluate_chunk(
         }
         let v = vertex_of(i);
         NeighborCounts::gather_into(graph, snapshot, v, scratch, counts);
-        let e = evaluate_move_with_mode(bm, from, to, counts, eval, cfg.math_mode);
+        let e = evaluate_move_with(bm, from, to, counts, eval);
         out.push(if accept_move(&e, cfg.beta, &mut batch.rngs[j]) {
             Some(to)
         } else {

@@ -30,8 +30,8 @@ use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{
-    evaluate_move_with_mode, propose::accept_move, propose_block, Block, Blockmodel,
-    NeighborCounts, ProposalArena,
+    evaluate_move_with, propose::accept_move, propose_block, Block, Blockmodel, NeighborCounts,
+    ProposalArena,
 };
 use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, Vertex};
@@ -115,14 +115,7 @@ pub(crate) fn sweep(
                         &mut arena.scratch,
                         &mut arena.counts,
                     );
-                    let eval = evaluate_move_with_mode(
-                        &local,
-                        from,
-                        to,
-                        &arena.counts,
-                        &mut arena.eval,
-                        cfg.math_mode,
-                    );
+                    let eval = evaluate_move_with(&local, from, to, &arena.counts, &mut arena.eval);
                     if accept_move(&eval, cfg.beta, &mut rng) {
                         local.apply_move(v, from, to, &arena.counts);
                         moves.push((v, to));

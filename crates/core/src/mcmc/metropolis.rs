@@ -9,7 +9,7 @@ use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{
-    evaluate_move_with_mode, propose::accept_move, propose_block, Blockmodel, NeighborCounts,
+    evaluate_move_with, propose::accept_move, propose_block, Blockmodel, NeighborCounts,
     ProposalArena,
 };
 use hsbp_collections::SplitMix64;
@@ -50,8 +50,7 @@ pub(crate) fn sweep(
             &mut arena.scratch,
             &mut arena.counts,
         );
-        let eval =
-            evaluate_move_with_mode(bm, from, to, &arena.counts, &mut arena.eval, cfg.math_mode);
+        let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
         if accept_move(&eval, cfg.beta, &mut rng) {
             bm.apply_move(v, from, to, &arena.counts);
             serial_cost += cfg.cost_model.update_cost(incident);

@@ -11,8 +11,8 @@ use crate::budget::RunControl;
 use crate::config::SbpConfig;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{
-    delta_mdl_merge_with_mode, propose_merge_target_frozen, Block, BlockNeighborSampler,
-    Blockmodel, ProposalArena,
+    delta_mdl_merge_with, propose_merge_target_frozen, Block, BlockNeighborSampler, Blockmodel,
+    ProposalArena,
 };
 use hsbp_collections::sample::mix_words;
 use hsbp_collections::SplitMix64;
@@ -105,8 +105,7 @@ pub fn merge_phase_controlled(
                     if s == r {
                         continue;
                     }
-                    let delta =
-                        delta_mdl_merge_with_mode(frozen, r, s, &mut arena.eval, cfg.math_mode);
+                    let delta = delta_mdl_merge_with(frozen, r, s, &mut arena.eval);
                     if best.is_none_or(|(d, _, _)| delta < d) {
                         best = Some((delta, r, s));
                     }

@@ -24,7 +24,7 @@ use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::{DriftEvent, RunStats};
 use hsbp_blockmodel::{
-    audit_blockmodel, evaluate_move_with_mode, mdl, propose::accept_move, propose_block,
+    audit_blockmodel, evaluate_move_with, mdl, propose::accept_move, propose_block,
     repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
 };
 use hsbp_collections::sample::mix_words;
@@ -167,8 +167,7 @@ fn sweep_region(
             &mut arena.scratch,
             &mut arena.counts,
         );
-        let eval =
-            evaluate_move_with_mode(bm, from, to, &arena.counts, &mut arena.eval, cfg.math_mode);
+        let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
         if accept_move(&eval, cfg.beta, &mut rng) {
             bm.apply_move(v, from, to, &arena.counts);
             stats.accepted += 1;

@@ -1,10 +1,9 @@
-//! Golden-bit pins for `MathMode::Exact`.
+//! Golden-bit pins for the delta-MDL math path.
 //!
-//! The fast-math work (x·ln x tables, SoA rows, batched proposals) must not
-//! perturb the exact path: these fingerprints were captured from the
-//! pre-fastmath tree, and every refactor since has to reproduce them
-//! bit-for-bit across all four variants, thread counts 1/2/7, and under
-//! budget truncation.
+//! These fingerprints were captured from the libm tree, before the `ln`
+//! table, SoA rows and batched proposals existed. The table-served kernel
+//! must reproduce them bit-for-bit across all four variants, thread counts
+//! 1/2/7, and under budget truncation — as must every refactor since.
 
 use hsbp_core::{run_sbp_budgeted, CancelToken, RunBudget, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
@@ -58,7 +57,8 @@ fn pin_case(variant: Variant, threads: usize, truncated: bool) -> (u64, u64) {
     )
 }
 
-/// `(variant, truncated) -> (mdl_bits, fingerprint)` captured pre-fastmath.
+/// `(variant, truncated) -> (mdl_bits, fingerprint)` captured from the libm
+/// tree.
 /// Thread count is not part of the key: results are pinned identical across
 /// 1/2/7 threads.
 const GOLDEN: [(Variant, bool, u64, u64); 8] = [

@@ -18,7 +18,6 @@
 //! paper's evaluation varies. As in `graph-tool` (paper §4.1), the realised
 //! graph only approximates the requested parameters.
 
-use hsbp_collections::fastmath;
 use hsbp_collections::{AliasTable, FxHashSet, SplitMix64};
 use hsbp_graph::{Graph, GraphBuilder, Vertex};
 
@@ -126,7 +125,7 @@ fn sample_power_law(rng: &mut SplitMix64, min_d: u64, max_d: u64, gamma: f64) ->
     let u = rng.next_f64();
     if (gamma - 1.0).abs() < 1e-9 {
         // γ = 1: log-uniform.
-        let (ln_a, ln_b) = (fastmath::ln(a), fastmath::ln(b));
+        let (ln_a, ln_b) = (a.ln(), b.ln());
         (ln_a + u * (ln_b - ln_a)).exp()
     } else {
         let e = 1.0 - gamma;

@@ -2,7 +2,6 @@
 //! to sanity-check generated DCSBM graphs against their target parameters.
 
 use crate::{Graph, Vertex};
-use hsbp_collections::fastmath;
 use hsbp_parallel::ChunkPlan;
 
 /// Summary statistics of a directed graph.
@@ -91,10 +90,7 @@ pub fn power_law_mle(degrees: &[u64]) -> f64 {
         return f64::NAN;
     }
     let d_min = positive.iter().copied().fold(f64::INFINITY, f64::min);
-    let denom: f64 = positive
-        .iter()
-        .map(|&d| fastmath::ln(d / (d_min - 0.5)))
-        .sum();
+    let denom: f64 = positive.iter().map(|&d| (d / (d_min - 0.5)).ln()).sum();
     if denom <= 0.0 {
         return f64::NAN;
     }

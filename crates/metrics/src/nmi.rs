@@ -74,7 +74,7 @@ pub fn mutual_information(x: &[u32], y: &[u32]) -> f64 {
         let p_xy = c as f64 / n;
         let p_x = table.marginal_x[&a] as f64 / n;
         let p_y = table.marginal_y[&b] as f64 / n;
-        info += fastmath::xlny(p_xy, p_xy / (p_x * p_y));
+        info += p_xy * (p_xy / (p_x * p_y)).ln();
     }
     info.max(0.0) // guard tiny negative rounding
 }

@@ -1,10 +1,10 @@
 //! hsbp-parallel: a persistent worker pool with degree-aware scheduling for
 //! the parallel MCMC sweep.
 //!
-//! The vendored rayon shim spawns fresh OS threads for every parallel section
-//! (several per sweep) and splits work into contiguous equal-count chunks — a
-//! pathological schedule on power-law DCSBM graphs where per-vertex proposal
-//! cost is proportional to degree. This crate replaces it with:
+//! Spawning fresh OS threads for every parallel section (several per sweep)
+//! and splitting work into contiguous equal-count chunks is a pathological
+//! schedule on power-law DCSBM graphs, where per-vertex proposal cost is
+//! proportional to degree. This crate provides instead:
 //!
 //! * a **persistent pool**: workers are spawned once and parked on a condvar
 //!   between sections; a section wakes them with a latch (epoch bump), the

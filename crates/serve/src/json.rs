@@ -328,10 +328,24 @@ mod tests {
     }
 
     #[test]
+    fn parses_nesting_escapes_and_exponents() {
+        let doc = r#"{"a": [1, -2.5e3, "x\ny\"z"], "b": {"c": true, "d": null}}"#;
+        let v = parse(doc).unwrap();
+        let a = v.get("a").and_then(Json::as_arr).unwrap();
+        assert_eq!(a[1].as_f64(), Some(-2500.0));
+        assert_eq!(a[2].as_str(), Some("x\ny\"z"));
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
+    }
+
+    #[test]
     fn rejects_garbage() {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,2").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{").is_err());
         assert!(parse("{} trailing").is_err());
+        assert!(parse("\"unterminated").is_err());
         assert!(parse("").is_err());
     }
 

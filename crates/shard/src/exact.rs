@@ -47,7 +47,7 @@ use crate::channel::{
 };
 use crate::stitch::reassign_dropped;
 use hsbp_blockmodel::{
-    audit_blockmodel, evaluate_move_with_mode, mdl, propose::accept_move, propose_block,
+    audit_blockmodel, evaluate_move_with, mdl, propose::accept_move, propose_block,
     repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
 };
 use hsbp_collections::sample::mix_words;
@@ -377,13 +377,12 @@ impl<'a> Cluster<'a> {
                                 &mut arena.scratch,
                                 &mut arena.counts,
                             );
-                            let eval = evaluate_move_with_mode(
+                            let eval = evaluate_move_with(
                                 &local,
                                 from,
                                 to,
                                 &arena.counts,
                                 &mut arena.eval,
-                                cfg.math_mode,
                             );
                             if accept_move(&eval, cfg.beta, &mut rng) {
                                 local.apply_move(v, from, to, &arena.counts);

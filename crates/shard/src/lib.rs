@@ -12,7 +12,7 @@
 //!    translation tables, and cut-edge accounting.
 //! 2. **Per-shard SBP** ([`runner`]), under **supervision**
 //!    ([`supervisor`]): run the existing [`hsbp_core::run_sbp`] on every
-//!    shard in parallel (rayon), emulating distributed ranks through
+//!    shard in parallel (on the `hsbp-parallel` pool), emulating distributed ranks through
 //!    `hsbp-timing`'s simulated cost model so strong-scaling curves can be
 //!    reported from a single-core host. Each shard job runs under
 //!    `catch_unwind` with a deadline; failed attempts retry with a fresh

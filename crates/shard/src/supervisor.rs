@@ -1,12 +1,13 @@
 //! Shard supervision: retries, deadlines, invariant validation, and
 //! per-shard outcome accounting around the bare [`crate::runner`] jobs.
 //!
-//! PR 1's runner fired every shard as a bare rayon job — one panicking or
-//! hung shard aborted the whole divide-and-conquer run. Real distributed
-//! SBP deployments lose ranks mid-phase (Wanye et al., arXiv:2305.18663),
-//! and the divide-and-conquer stitch only needs *surviving* sub-models plus
-//! the full edge set (Roy & Atchadé, arXiv:1610.09724), so the supervisor
-//! turns shard failures into policy instead of aborts:
+//! Without supervision every shard runs as a bare pool job — one panicking
+//! or hung shard would abort the whole divide-and-conquer run. Real
+//! distributed SBP deployments lose ranks mid-phase (Wanye et al.,
+//! arXiv:2305.18663), and the divide-and-conquer stitch only needs
+//! *surviving* sub-models plus the full edge set (Roy & Atchadé,
+//! arXiv:1610.09724), so the supervisor turns shard failures into policy
+//! instead of aborts:
 //!
 //! * every attempt runs under [`std::panic::catch_unwind`], and — when a
 //!   `shard_timeout` is set — under a **cooperative wall-clock deadline**

@@ -128,7 +128,6 @@ fn usage(msg: &str) -> ExitCode {
         "usage:\n  hsbp detect --input FILE [--variant sbp|asbp|hsbp] [--seed N] \\\n\
          \x20             [--restarts N] [--output FILE] \\\n\
          \x20             [--deadline SECS] [--max-sweeps N] \\\n\
-         \x20             [--math-mode exact|table] \\\n\
          \x20             [--audit-cadence N] [--strict-audit true]\n\
          \x20 hsbp shard --input FILE [--shards K] [--strategy rr|degree|file] \\\n\
          \x20             [--parts FILE] [--seed N] [--compare true] \\\n\
@@ -248,7 +247,6 @@ fn detect(flags: &HashMap<String, String>) -> ExitCode {
             "output",
             "deadline",
             "max-sweeps",
-            "math-mode",
             "audit-cadence",
             "strict-audit",
             "inject-drift",
@@ -280,15 +278,6 @@ fn detect(flags: &HashMap<String, String>) -> ExitCode {
         Some(Ok(n)) if n > 0 => Some(n),
         Some(_) => return usage("--max-sweeps needs a positive integer"),
     };
-    // Defaults to the HSBP_MATH env var (exact when unset); the flag wins.
-    let math_mode: hsbp::MathMode = match flags.get("math-mode") {
-        None => hsbp::MathMode::from_env(),
-        Some(s) => match hsbp::MathMode::parse(s) {
-            Some(m) => m,
-            None => return usage(&format!("--math-mode needs exact or table, got `{s}`")),
-        },
-    };
-
     let graph = match load_path(input) {
         Ok(g) => g,
         Err(e) => {
@@ -332,7 +321,6 @@ fn detect(flags: &HashMap<String, String>) -> ExitCode {
             budget = budget.with_max_total_sweeps(left);
         }
         let mut cfg = SbpConfig::new(variant, seed.wrapping_add(restart as u64 * 7919));
-        cfg.math_mode = math_mode;
         if let Err(e) = apply_audit_flags(flags, &mut cfg) {
             return usage(&e);
         }
@@ -1102,11 +1090,6 @@ fn version_cmd(flags: &HashMap<String, String>) -> ExitCode {
         return usage(&e);
     }
     println!("hsbp {}", env!("CARGO_PKG_VERSION"));
-    println!(
-        "math mode {} (HSBP_MATH), x·ln x table cap {} (HSBP_MATH_CAP)",
-        hsbp::MathMode::from_env().name(),
-        hsbp::blockmodel::fastmath::table_cap()
-    );
     println!("serve protocol {}", hsbp::serve::PROTOCOL_VERSION);
     println!("shard sync protocol {SYNC_PROTOCOL_VERSION}");
     println!(

@@ -66,8 +66,8 @@ pub use hsbp_bench as bench;
 
 pub use hsbp_core::{
     refine_partition, run_sbp, run_sbp_budgeted, run_sbp_checked, CancelToken, Consolidation,
-    DriftEvent, HsbpError, MathMode, McmcOutcome, RefineOutcome, RunBudget, RunStats, SbpConfig,
-    SbpResult, StopCause, Variant, HSBP_MATH_ENV,
+    DriftEvent, HsbpError, McmcOutcome, RefineOutcome, RunBudget, RunStats, SbpConfig, SbpResult,
+    StopCause, Variant,
 };
 pub use hsbp_graph::{Graph, GraphBuilder};
 pub use hsbp_shard::{
