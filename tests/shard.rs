@@ -190,3 +190,54 @@ fn shard_cli_end_to_end() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// FNV-1a over the little-endian bytes of every label.
+fn label_fingerprint(assignment: &[u32]) -> u64 {
+    let bytes: Vec<u8> = assignment.iter().flat_map(|l| l.to_le_bytes()).collect();
+    hsbp::shard::channel::checksum(&bytes)
+}
+
+/// Golden-bit pin of the stitch path: 4 shards on a fixed DCSBM. The
+/// values were recorded before the stitch's search moved onto the shared
+/// driver; any refactor of the stitch must reproduce them exactly.
+#[test]
+fn stitch_golden_bits_on_fixed_dcsbm() {
+    let data = generate(DcsbmConfig {
+        num_vertices: 800,
+        num_communities: 8,
+        target_num_edges: 8000,
+        seed: 29,
+        ..Default::default()
+    });
+    let run =
+        run_sharded_sbp_detailed(&data.graph, &ShardConfig::new(4, 17)).expect("valid config");
+    let trajectory: Vec<(usize, u64)> = run
+        .result
+        .trajectory
+        .iter()
+        .map(|&(b, m)| (b, m.to_bits()))
+        .collect();
+    assert_eq!(run.result.mdl.total.to_bits(), 0x40f0_84dc_8a67_f540);
+    assert_eq!(
+        label_fingerprint(&run.result.assignment),
+        0x20a4_1be1_1725_3494
+    );
+    assert_eq!(
+        trajectory,
+        vec![
+            (100, 0x40f3702fdfd5eda8),
+            (50, 0x40f1b2e10a3b53c7),
+            (25, 0x40f0f8f70da655e9),
+            (13, 0x40f0a6c719664808),
+            (7, 0x40f09a5d9b79ec83),
+            (4, 0x40f0f6a0daa2fb41),
+            (9, 0x40f08c5a5ce19973),
+            (11, 0x40f099dab16e46ae),
+            (10, 0x40f0917b86282b9e),
+            (8, 0x40f084dc8a67f540),
+        ]
+    );
+    assert_eq!(run.stitch.steps, 9);
+    assert_eq!(run.stitch.finetune_sweeps, 69);
+    assert_eq!(run.stitch.blocks_final, 8);
+}
