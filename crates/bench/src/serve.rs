@@ -24,7 +24,7 @@
 //! Results land in `BENCH_serve.json`
 //! (`schema_version` = [`hsbp_serve::BENCH_SERVE_SCHEMA_VERSION`]).
 
-use hsbp_collections::SplitMix64;
+use hsbp_collections::{fnv1a, SplitMix64};
 use hsbp_core::{HsbpError, RunBudget, SbpConfig, Variant};
 use hsbp_graph::Graph;
 use hsbp_serve::json::{parse, Json};
@@ -163,20 +163,14 @@ pub fn generate_workload(spec: &ServeSpec, seed: u64) -> Workload {
 /// FNV-1a over every request line: two equal fingerprints replay the
 /// byte-identical request sequence.
 pub fn fingerprint(workload: &Workload) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut bytes = Vec::new();
     for round in &workload.rounds {
         for line in round.mutation_lines.iter().chain(&round.read_lines) {
-            eat(line.as_bytes());
-            eat(b"\n");
+            bytes.extend_from_slice(line.as_bytes());
+            bytes.push(b'\n');
         }
     }
-    h
+    fnv1a(&bytes)
 }
 
 /// Everything measured by one replay.

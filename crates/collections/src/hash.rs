@@ -1,4 +1,4 @@
-//! An Fx-style hasher and hash-map/set aliases.
+//! An Fx-style hasher and hash-map/set aliases, plus the FNV-1a checksum.
 //!
 //! The hash function is the one used inside rustc (`rustc-hash`): a
 //! multiply-rotate mix applied word-at-a-time. It is not HashDoS-resistant,
@@ -94,9 +94,26 @@ pub fn hash_u64(x: u64) -> u64 {
     h.finish()
 }
 
+/// 64-bit FNV-1a over `bytes`: the checksum of WAL records and sync
+/// frames, and the fingerprint of labels and workloads. Every byte changes
+/// the hash through an xor then an odd multiply, so any single-byte
+/// corruption is detected.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn same_input_same_hash() {

@@ -7,7 +7,7 @@
 //!
 //! * [`hash`] — an Fx-style hasher (the algorithm used by rustc) plus
 //!   `FxHashMap`/`FxHashSet` aliases, much faster than SipHash for integer
-//!   keys,
+//!   keys, and the one FNV-1a checksum,
 //! * [`sample`] — O(1) alias-table sampling, cumulative (binary-search)
 //!   sampling and a tiny splitmix-based counter RNG used for deterministic
 //!   per-vertex randomness in parallel sweeps,
@@ -24,7 +24,7 @@ pub mod sample;
 pub mod scratch;
 pub mod sparse;
 
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use sample::{AliasTable, CumulativeSampler, SplitMix64};
 pub use scratch::ScratchCounter;
 pub use sparse::SparseRow;

@@ -8,6 +8,12 @@
 //! keep halving the block count; once `mid` is bracketed, bisect the larger
 //! gap (golden ratio) until no interior candidates remain.
 //!
+//! [`golden_section_search`] is the only copy of this loop. `detect` runs
+//! it from the singleton partition with the in-process
+//! [`VariantSweeps`] executor; the exact distributed mode swaps in its
+//! channel-synchronised executor; the sharded pipeline's stitch runs it
+//! from the stitched union of the shards' partitions.
+//!
 //! Budgeted runs ([`run_sbp_budgeted`]) check a [`RunControl`] at the top
 //! of every evaluation and inside both phases. When the control trips, the
 //! in-flight evaluation is **discarded** — not pushed to the trajectory,
@@ -17,7 +23,7 @@
 use crate::budget::{CancelToken, RunBudget, RunControl, StopCause};
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
-use crate::mcmc::run_mcmc_phase_controlled;
+use crate::mcmc::{run_mcmc_rounds, PhaseExecutor, VariantSweeps};
 use crate::merge::merge_phase_controlled;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{mdl, Block, Blockmodel};
@@ -41,9 +47,10 @@ pub struct SbpResult {
     /// `Option` instead of comparing NaN.
     pub normalized_mdl: f64,
     /// Every `(num_blocks, MDL)` point the golden-section search evaluated,
-    /// in evaluation order (the singleton start is not included). Budgeted
-    /// runs hold the completed prefix only — a truncated evaluation is
-    /// never recorded.
+    /// in evaluation order. The search's start state is not included
+    /// (the sharded pipeline's stitch prepends its union). Budgeted runs
+    /// hold the completed prefix only — a truncated evaluation is never
+    /// recorded.
     pub trajectory: Vec<(usize, f64)>,
     /// Instrumentation gathered during the run, including
     /// [`RunStats::stop_cause`] and any drift events.
@@ -116,8 +123,37 @@ pub fn run_sbp_budgeted(
 ) -> Result<SbpResult, HsbpError> {
     cfg.validate().map_err(HsbpError::InvalidConfig)?;
     budget.validate().map_err(HsbpError::InvalidConfig)?;
-    let ctrl = RunControl::new(budget, token);
-    let mut stats = RunStats::new(cfg);
+    let n = graph.num_vertices();
+    golden_section_search(
+        graph,
+        cfg,
+        ((0..n as Block).collect(), n),
+        0,
+        &RunControl::new(budget, token),
+        RunStats::new(cfg),
+        &mut VariantSweeps::new(cfg),
+    )
+}
+
+/// The golden-section search over the block count, starting from
+/// `start = (assignment, num_blocks)` with phase salts counting up from
+/// `first_phase`. Each evaluation is a merge phase down to the next target
+/// followed by an MCMC phase run through `exec` ([`run_mcmc_rounds`]).
+///
+/// `stats` may already hold counters from earlier work (the stitch passes
+/// the shards' stats in); the evaluation cap `cfg.max_outer_iterations`
+/// and the evaluation budget count this search's evaluations only. The
+/// start state is the initial `upper` bracket end and is not recorded in
+/// the returned trajectory.
+pub fn golden_section_search<E: PhaseExecutor + ?Sized>(
+    graph: &Graph,
+    cfg: &SbpConfig,
+    start: (Vec<Block>, usize),
+    first_phase: u64,
+    ctrl: &RunControl,
+    mut stats: RunStats,
+    exec: &mut E,
+) -> Result<SbpResult, HsbpError> {
     let n = graph.num_vertices();
     if n == 0 {
         return Ok(SbpResult {
@@ -134,27 +170,29 @@ pub fn run_sbp_budgeted(
         });
     }
 
-    let mut bm = stats
-        .timer
-        .time(Phase::Other, || Blockmodel::singleton_partition(graph));
-    let singleton_mdl = mdl::mdl(&bm, n, graph.total_weight()).total;
+    let (assignment, num_blocks) = start;
+    let mut bm = stats.timer.time(Phase::Other, || {
+        Blockmodel::from_assignment(graph, assignment, num_blocks)
+    });
+    let start_mdl = mdl::mdl(&bm, n, graph.total_weight()).total;
 
-    // Search state: `upper` starts at the fully-split partition.
+    // Search state: `upper` starts at the start state.
     let mut upper: Option<Evaluated> = Some(Evaluated {
-        num_blocks: n,
-        mdl_total: singleton_mdl,
+        num_blocks,
+        mdl_total: start_mdl,
         assignment: bm.assignment().to_vec(),
     });
     let mut mid: Option<Evaluated> = None;
     let mut lower: Option<Evaluated> = None;
 
-    let mut phase_index: u64 = 0;
+    let mut phase_index = first_phase;
+    // One trajectory point per completed evaluation of this search.
     let mut trajectory: Vec<(usize, f64)> = Vec::new();
     loop {
-        if stats.outer_iterations >= cfg.max_outer_iterations {
+        if trajectory.len() >= cfg.max_outer_iterations {
             break;
         }
-        if let Some(cause) = ctrl.eval_stop_cause(stats.mcmc_sweeps, stats.outer_iterations) {
+        if let Some(cause) = ctrl.eval_stop_cause(stats.mcmc_sweeps, trajectory.len()) {
             stats.stop_cause = cause;
             break;
         }
@@ -202,15 +240,14 @@ pub fn run_sbp_budgeted(
         // borrow `stats` themselves, so time with explicit Instants).
         let start = std::time::Instant::now();
         let merge_out =
-            merge_phase_controlled(graph, &mut bm, target, cfg, phase_index, &mut stats, &ctrl);
+            merge_phase_controlled(graph, &mut bm, target, cfg, phase_index, &mut stats, ctrl);
         stats.timer.add(Phase::BlockMerge, start.elapsed());
         if merge_out.truncated {
             stats.stop_cause = ctrl.interrupt_cause().unwrap_or(StopCause::Cancelled);
             break; // discard the in-flight evaluation
         }
         let start = std::time::Instant::now();
-        let mcmc_res =
-            run_mcmc_phase_controlled(graph, &mut bm, cfg, phase_index, &mut stats, &ctrl);
+        let mcmc_res = run_mcmc_rounds(graph, &mut bm, cfg, phase_index, &mut stats, ctrl, exec);
         stats.timer.add(Phase::Mcmc, start.elapsed());
         let mcmc_out = mcmc_res?;
         if mcmc_out.truncated {
@@ -269,7 +306,7 @@ pub fn run_sbp_budgeted(
     }
 
     let Some(best) = mid.or(upper) else {
-        unreachable!("at least the singleton state exists");
+        unreachable!("at least the start state exists");
     };
     let bm = Blockmodel::from_assignment(graph, best.assignment.clone(), best.num_blocks);
     let final_mdl = mdl::mdl(&bm, n, graph.total_weight());

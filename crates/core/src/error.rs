@@ -7,6 +7,8 @@
 //! blockmodel mid-sweep is a bug, not an input problem.
 
 use hsbp_graph::io::IoError;
+use std::io::Write;
+use std::path::Path;
 
 /// Recoverable failure of an SBP pipeline entry point.
 #[derive(Debug)]
@@ -161,6 +163,14 @@ impl From<std::io::Error> for HsbpError {
 }
 
 impl HsbpError {
+    /// A [`HsbpError::Checkpoint`] at `path`.
+    pub fn checkpoint(path: &Path, message: impl Into<String>) -> Self {
+        HsbpError::Checkpoint {
+            path: path.display().to_string(),
+            message: message.into(),
+        }
+    }
+
     /// Attach (or replace) the file path on an I/O-backed error.
     pub fn with_path(self, path: impl Into<String>) -> Self {
         match self {
@@ -171,6 +181,21 @@ impl HsbpError {
             other => other,
         }
     }
+}
+
+/// Write `content` to `path` via a temporary sibling, `sync_all` and
+/// `rename`, so a kill mid-write never leaves a torn file where readers
+/// look. The `sync_all` is the durability step: the renamed file's bytes
+/// are on disk before it becomes visible.
+pub fn write_atomic(path: &Path, content: &str) -> Result<(), HsbpError> {
+    let tmp = path.with_extension("tmp");
+    let mut file = std::fs::File::create(&tmp)
+        .map_err(|e| HsbpError::checkpoint(&tmp, format!("create: {e}")))?;
+    file.write_all(content.as_bytes())
+        .and_then(|()| file.sync_all())
+        .map_err(|e| HsbpError::checkpoint(&tmp, format!("write: {e}")))?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(|e| HsbpError::checkpoint(path, format!("rename: {e}")))
 }
 
 #[cfg(test)]

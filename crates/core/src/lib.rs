@@ -51,10 +51,13 @@ pub mod stats;
 
 pub use budget::{CancelToken, RunBudget, RunControl, StopCause};
 pub use config::{Consolidation, SbpConfig, Variant};
-pub use driver::{run_sbp, run_sbp_budgeted, run_sbp_checked, SbpResult};
-pub use error::HsbpError;
+pub use driver::{golden_section_search, run_sbp, run_sbp_budgeted, run_sbp_checked, SbpResult};
+pub use error::{write_atomic, HsbpError};
 pub use influence::{asbp_convergence_risk, degree_concentration, degree_gini, AsbpRisk};
-pub use mcmc::{run_mcmc_phase, run_mcmc_phase_controlled, McmcOutcome};
+pub use mcmc::{
+    run_mcmc_phase, run_mcmc_phase_controlled, run_mcmc_rounds, McmcOutcome, PhaseExecutor,
+    SweepCounters, VariantSweeps,
+};
 pub use merge::{merge_phase, merge_phase_controlled, MergeOutcome};
 pub use refine::{expand_dirty_region, extend_assignment, refine_partition, RefineOutcome};
 pub use stats::{DriftEvent, RunStats};

@@ -1,6 +1,9 @@
-//! The MCMC phase: repeated sweeps of one of the three variants until the
-//! MDL improvement stalls (Algorithms 2–4's shared outer `repeat … until
-//! ΔMDL < t × MDL or x times` loop).
+//! The MCMC phase: repeated sweeps until the MDL improvement stalls
+//! (Algorithms 2–4's shared outer `repeat … until ΔMDL < t × MDL or x
+//! times` loop). [`run_mcmc_rounds`] is that loop, once, for every engine;
+//! a [`PhaseExecutor`] supplies the sweeps — [`VariantSweeps`] for the
+//! in-process variants, the exact distributed mode's cluster for sync
+//! rounds.
 
 mod async_gibbs;
 mod consolidate;
@@ -15,12 +18,15 @@ use crate::stats::{DriftEvent, RunStats};
 use hsbp_blockmodel::{audit_blockmodel, mdl, repair_blockmodel, Blockmodel, ProposalArena};
 use hsbp_collections::sample::mix_words;
 use hsbp_graph::{stats::vertices_by_degree_desc, Graph, Vertex};
-use hsbp_parallel::ChunkPlan;
+use hsbp_parallel::{ChunkPlan, ThreadPool};
+use std::collections::VecDeque;
 
-/// Counters returned by a single sweep.
+/// Counters returned by one round of sweeps.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SweepCounters {
+pub struct SweepCounters {
+    /// Vertex-move proposals evaluated.
     pub proposals: u64,
+    /// Vertex-move proposals accepted.
     pub accepted: u64,
 }
 
@@ -67,12 +73,198 @@ pub struct McmcOutcome {
     pub truncated: bool,
 }
 
+/// How an MCMC phase runs its sweeps. The phase loop
+/// ([`run_mcmc_rounds`]) owns the budget checks, the convergence window,
+/// drift injection and the audit; an executor owns only how one round of
+/// sweeps is carried out and what it must redo when the loop rewrites the
+/// model behind its back.
+pub trait PhaseExecutor {
+    /// Sweeps per round. Budget, drift-injection and audit checks run at
+    /// round boundaries.
+    fn batch(&self) -> usize;
+
+    /// Prepare a new phase on `bm` (the merge phase has just reshaped it).
+    fn begin_phase(&mut self, graph: &Graph, bm: &Blockmodel, stats: &mut RunStats);
+
+    /// Run `batch` sweeps with phase-local sweep indices
+    /// `sweep_base..sweep_base + batch`, drawing randomness from `salt`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_round(
+        &mut self,
+        graph: &Graph,
+        bm: &mut Blockmodel,
+        salt: u64,
+        sweep_base: u64,
+        batch: usize,
+        stats: &mut RunStats,
+        ctrl: &RunControl,
+    ) -> Result<SweepCounters, HsbpError>;
+
+    /// The phase loop rewrote `bm` outside a round (drift injected or
+    /// repaired); any copy of the model the executor holds is stale.
+    fn model_rewritten(&mut self, graph: &Graph, bm: &Blockmodel, stats: &mut RunStats);
+}
+
 /// Per-vertex proposal costs in a fixed iteration order (static across the
 /// sweeps of one phase, since proposal cost depends only on degree).
 fn proposal_costs(graph: &Graph, order: impl Iterator<Item = Vertex>, cfg: &SbpConfig) -> Vec<f64> {
     order
         .map(|v| cfg.cost_model.proposal_cost(graph.incident_arity(v)))
         .collect()
+}
+
+/// The in-process executor: one sweep of the configured [`Variant`] per
+/// round.
+pub struct VariantSweeps<'a> {
+    cfg: &'a SbpConfig,
+    pool: &'static ThreadPool,
+    /// H-SBP's degree-descending vertex order (empty for other variants).
+    order: Vec<Vertex>,
+    /// Length of H-SBP's serial head of `order`.
+    vstar_len: usize,
+    /// Proposal costs of the vertices swept in parallel.
+    parallel_costs: Vec<f64>,
+    /// Static chunk plan for H-SBP's permuted tail: the tail order isn't
+    /// contiguous in vertex ids, so its per-item weights can't be read off
+    /// the CSR prefix directly.
+    tail_plan: ChunkPlan,
+    ws: PhaseWorkspace,
+    /// Past models for the distributed-staleness emulation (only populated
+    /// when it is actually consulted).
+    history: VecDeque<Blockmodel>,
+}
+
+impl<'a> VariantSweeps<'a> {
+    /// An executor for `cfg`'s variant; per-phase state is built by
+    /// [`PhaseExecutor::begin_phase`].
+    pub fn new(cfg: &'a SbpConfig) -> Self {
+        Self {
+            cfg,
+            pool: hsbp_parallel::pool_for(cfg.threads),
+            order: Vec::new(),
+            vstar_len: 0,
+            parallel_costs: Vec::new(),
+            tail_plan: ChunkPlan::even(0, 1),
+            ws: PhaseWorkspace::default(),
+            history: VecDeque::new(),
+        }
+    }
+
+    /// Stale A-SBP evaluation (staleness > 1, unbatched).
+    fn use_stale(&self) -> bool {
+        self.cfg.variant == Variant::AsyncGibbs
+            && self.cfg.asbp_staleness > 1
+            && self.cfg.asbp_batches == 1
+    }
+}
+
+impl PhaseExecutor for VariantSweeps<'_> {
+    fn batch(&self) -> usize {
+        1
+    }
+
+    fn begin_phase(&mut self, graph: &Graph, bm: &Blockmodel, _stats: &mut RunStats) {
+        let cfg = self.cfg;
+        let n = graph.num_vertices();
+        (self.order, self.vstar_len) = match cfg.variant {
+            Variant::Hybrid => {
+                let order = vertices_by_degree_desc(graph);
+                let vstar = ((n as f64) * cfg.hybrid_serial_fraction).round() as usize;
+                (order, vstar.min(n))
+            }
+            _ => (Vec::new(), 0),
+        };
+        let tail = &self.order[self.vstar_len..];
+        self.parallel_costs = match cfg.variant {
+            Variant::Metropolis => Vec::new(),
+            Variant::AsyncGibbs | Variant::ExactAsync => proposal_costs(graph, 0..n as Vertex, cfg),
+            Variant::Hybrid => proposal_costs(graph, tail.iter().copied(), cfg),
+        };
+        self.tail_plan = if cfg.variant == Variant::Hybrid {
+            let weights: Vec<u64> = tail
+                .iter()
+                .map(|&v| graph.incident_arity(v) as u64 + 1)
+                .collect();
+            ChunkPlan::from_costs(&weights, self.pool.chunk_target())
+        } else {
+            ChunkPlan::even(0, 1)
+        };
+        self.ws = PhaseWorkspace::default();
+        self.history.clear();
+        if self.use_stale() {
+            self.history.push_back(bm.clone());
+        }
+    }
+
+    fn run_round(
+        &mut self,
+        graph: &Graph,
+        bm: &mut Blockmodel,
+        salt: u64,
+        sweep: u64,
+        batch: usize,
+        stats: &mut RunStats,
+        ctrl: &RunControl,
+    ) -> Result<SweepCounters, HsbpError> {
+        debug_assert_eq!(batch, 1, "the in-process executor runs one sweep per round");
+        let stale = self.use_stale();
+        let (cfg, exec, ws) = (self.cfg, self.pool, &mut self.ws);
+        let costs = &self.parallel_costs;
+        match cfg.variant {
+            Variant::Metropolis => {
+                metropolis::sweep(graph, bm, cfg, salt, sweep, stats, ctrl, &mut ws.arena)
+            }
+            Variant::AsyncGibbs if stale => {
+                // Evaluate against the oldest retained model (at most
+                // `staleness` sweeps old), then retire it.
+                let eval_model = self.history.front().cloned().unwrap_or_else(|| bm.clone());
+                let counters = async_gibbs::sweep_stale(
+                    graph,
+                    bm,
+                    &eval_model,
+                    cfg,
+                    salt,
+                    sweep,
+                    stats,
+                    costs,
+                    exec,
+                    ws,
+                )?;
+                self.history.push_back(bm.clone());
+                while self.history.len() > cfg.asbp_staleness {
+                    self.history.pop_front();
+                }
+                Ok(counters)
+            }
+            Variant::AsyncGibbs => {
+                async_gibbs::sweep(graph, bm, cfg, salt, sweep, stats, costs, ctrl, exec, ws)
+            }
+            Variant::ExactAsync => {
+                exact_async::sweep(graph, bm, cfg, salt, sweep, stats, costs, ctrl, exec, ws)
+            }
+            Variant::Hybrid => hybrid::sweep(
+                graph,
+                bm,
+                &self.order,
+                self.vstar_len,
+                cfg,
+                salt,
+                sweep,
+                stats,
+                costs,
+                ctrl,
+                exec,
+                &self.tail_plan,
+                ws,
+            ),
+        }
+    }
+
+    fn model_rewritten(&mut self, _graph: &Graph, _bm: &Blockmodel, _stats: &mut RunStats) {
+        // The EA-SBP replicas no longer match the global model: the next
+        // sweep reseeds them.
+        self.ws.replicas.clear();
+    }
 }
 
 /// Run the MCMC phase of the configured variant on `bm` until convergence.
@@ -95,16 +287,8 @@ pub fn run_mcmc_phase(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_mcmc_phase`] under a [`RunControl`], with the cadenced drift audit.
-///
-/// Budget/cancel checks run at every sweep boundary (and, for the serial
-/// sweep loops, every [`crate::budget::VERTEX_CHECK_STRIDE`] vertices); a
-/// tripped control marks the outcome `truncated` and stops the phase. When
-/// `cfg.audit_cadence > 0`, the incremental blockmodel state is audited
-/// against a rebuild from membership every `audit_cadence` cumulative
-/// sweeps: divergence is repaired in place and recorded in
-/// `stats.drift_events`, or — with `cfg.strict_audit` — returned as
-/// `Err(HsbpError::StateDrift)`. That error is the only failure mode.
+/// [`run_mcmc_phase`] under a [`RunControl`], with the cadenced drift
+/// audit: [`run_mcmc_rounds`] over [`VariantSweeps`].
 pub fn run_mcmc_phase_controlled(
     graph: &Graph,
     bm: &mut Blockmodel,
@@ -113,167 +297,85 @@ pub fn run_mcmc_phase_controlled(
     stats: &mut RunStats,
     ctrl: &RunControl,
 ) -> Result<McmcOutcome, HsbpError> {
+    let mut exec = VariantSweeps::new(cfg);
+    run_mcmc_rounds(graph, bm, cfg, phase_index, stats, ctrl, &mut exec)
+}
+
+/// The MCMC phase loop: rounds of `exec.batch()` sweeps until the MDL
+/// improvement stalls or `cfg.max_sweeps` is reached.
+///
+/// Budget/cancel checks run at every round boundary (and, inside the
+/// in-process serial sweep loops, every
+/// `VERTEX_CHECK_STRIDE` vertices); a tripped control
+/// marks the outcome `truncated` and stops the phase. Drift injection
+/// (`cfg.inject_drift_at_sweep`) and the audit (every `cfg.audit_cadence`
+/// cumulative sweeps) fire on the round whose sweeps cross their boundary —
+/// with one sweep per round, exactly at that sweep. Audit divergence is
+/// repaired in place and recorded in `stats.drift_events`, or — with
+/// `cfg.strict_audit` — returned as `Err(HsbpError::StateDrift)`.
+pub fn run_mcmc_rounds<E: PhaseExecutor + ?Sized>(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    cfg: &SbpConfig,
+    phase_index: u64,
+    stats: &mut RunStats,
+    ctrl: &RunControl,
+    exec: &mut E,
+) -> Result<McmcOutcome, HsbpError> {
     let salt = mix_words(&[cfg.seed, 0x4d43_4d43, phase_index]); // "MCMC"
     let n = graph.num_vertices();
     stats.mcmc_phases += 1;
-
-    // Variant-specific precomputation.
-    let (order, vstar_len) = match cfg.variant {
-        Variant::Hybrid => {
-            let order = vertices_by_degree_desc(graph);
-            let vstar = ((n as f64) * cfg.hybrid_serial_fraction).round() as usize;
-            (order, vstar.min(n))
-        }
-        _ => (Vec::new(), 0),
-    };
-    let parallel_costs: Vec<f64> = match cfg.variant {
-        Variant::Metropolis => Vec::new(),
-        Variant::AsyncGibbs | Variant::ExactAsync => proposal_costs(graph, 0..n as Vertex, cfg),
-        Variant::Hybrid => proposal_costs(graph, order[vstar_len..].iter().copied(), cfg),
-    };
-    let exec = hsbp_parallel::pool_for(cfg.threads);
-    // Static per-phase chunk plan for H-SBP's permuted tail: the tail order
-    // isn't contiguous in vertex ids, so its per-item weights can't be read
-    // off the CSR prefix directly — build them once (the order is fixed for
-    // the whole phase).
-    let tail_plan = if cfg.variant == Variant::Hybrid {
-        let weights: Vec<u64> = order[vstar_len..]
-            .iter()
-            .map(|&v| graph.incident_arity(v) as u64 + 1)
-            .collect();
-        ChunkPlan::from_costs(&weights, exec.chunk_target())
-    } else {
-        ChunkPlan::even(0, 1)
-    };
+    exec.begin_phase(graph, bm, stats);
 
     let mut previous = mdl::mdl(bm, n, graph.total_weight());
     let mut recent_deltas: Vec<f64> = Vec::with_capacity(3);
     let mut sweeps = 0;
     let mut converged = false;
     let mut truncated = false;
-    let mut ws = PhaseWorkspace::default();
-
-    // History of past models for the distributed-staleness emulation (only
-    // populated when it is actually consulted).
-    let staleness = cfg.asbp_staleness.max(1);
-    let use_stale = cfg.variant == Variant::AsyncGibbs && staleness > 1 && cfg.asbp_batches == 1;
-    let mut history: std::collections::VecDeque<Blockmodel> = std::collections::VecDeque::new();
-    if use_stale {
-        history.push_back(bm.clone());
-    }
-
     while sweeps < cfg.max_sweeps {
         if ctrl.sweep_stop_cause(stats.mcmc_sweeps).is_some() {
             truncated = true;
             break;
         }
-        let counters = match cfg.variant {
-            Variant::Metropolis => metropolis::sweep(
-                graph,
-                bm,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                ctrl,
-                &mut ws.arena,
-            )?,
-            Variant::AsyncGibbs if use_stale => {
-                // Evaluate against the oldest retained model (at most
-                // `staleness` sweeps old), then retire it.
-                let eval_model = history.front().cloned().unwrap_or_else(|| bm.clone());
-                let counters = async_gibbs::sweep_stale(
-                    graph,
-                    bm,
-                    &eval_model,
-                    cfg,
-                    salt,
-                    sweeps as u64,
-                    stats,
-                    &parallel_costs,
-                    exec,
-                    &mut ws,
-                )?;
-                history.push_back(bm.clone());
-                while history.len() > staleness {
-                    history.pop_front();
-                }
-                counters
-            }
-            Variant::AsyncGibbs => async_gibbs::sweep(
-                graph,
-                bm,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                &parallel_costs,
-                ctrl,
-                exec,
-                &mut ws,
-            )?,
-            Variant::ExactAsync => exact_async::sweep(
-                graph,
-                bm,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                &parallel_costs,
-                ctrl,
-                exec,
-                &mut ws,
-            )?,
-            Variant::Hybrid => hybrid::sweep(
-                graph,
-                bm,
-                &order,
-                vstar_len,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                &parallel_costs,
-                ctrl,
-                exec,
-                &tail_plan,
-                &mut ws,
-            )?,
-        };
+        let batch = exec.batch().min(cfg.max_sweeps - sweeps);
+        let counters = exec.run_round(graph, bm, salt, sweeps as u64, batch, stats, ctrl)?;
         if ctrl.interrupt_cause().is_some() {
-            // The sweep may have bailed out part-way; the whole evaluation
+            // The round may have bailed out part-way; the whole evaluation
             // is discarded by the driver, so don't count it.
             truncated = true;
             break;
         }
-        sweeps += 1;
-        stats.mcmc_sweeps += 1;
+        let before = stats.mcmc_sweeps;
+        sweeps += batch;
+        stats.mcmc_sweeps += batch;
         stats.proposals += counters.proposals;
         stats.accepted += counters.accepted;
+        let after = stats.mcmc_sweeps;
 
-        if cfg.inject_drift_at_sweep == Some(stats.mcmc_sweeps) {
+        if let Some(at) = cfg
+            .inject_drift_at_sweep
+            .filter(|&at| before < at && at <= after)
+        {
             bm.inject_state_corruption(mix_words(&[
                 cfg.seed,
                 0x4452_4946, // "DRIF"
-                stats.mcmc_sweeps as u64,
+                at as u64,
             ]));
-            // The replicas no longer match the (corrupted) global model.
-            ws.replicas.clear();
+            exec.model_rewritten(graph, bm, stats);
         }
-        if cfg.audit_cadence > 0 && stats.mcmc_sweeps.is_multiple_of(cfg.audit_cadence) {
+        if cfg.audit_cadence > 0 && before / cfg.audit_cadence != after / cfg.audit_cadence {
             stats.audits_run += 1;
             if let Some(report) = audit_blockmodel(bm, graph) {
                 if cfg.strict_audit {
                     return Err(HsbpError::StateDrift {
-                        sweep: stats.mcmc_sweeps,
+                        sweep: after,
                         detail: report.summary(),
                     });
                 }
                 repair_blockmodel(bm, graph);
-                // Repair rewrote the global model: reseed EA replicas.
-                ws.replicas.clear();
+                exec.model_rewritten(graph, bm, stats);
                 stats.drift_events.push(DriftEvent {
-                    total_sweep: stats.mcmc_sweeps,
+                    total_sweep: after,
                     phase_index,
                     mismatches: report.mismatches,
                     mdl_delta: report.mdl_delta,

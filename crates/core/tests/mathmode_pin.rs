@@ -5,23 +5,15 @@
 //! must reproduce them bit-for-bit across all four variants, thread counts
 //! 1/2/7, and under budget truncation — as must every refactor since.
 
+use hsbp_collections::fnv1a;
 use hsbp_core::{run_sbp_budgeted, CancelToken, RunBudget, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
 
 /// FNV-1a over the assignment labels plus the block count.
 fn fingerprint(assignment: &[u32], num_blocks: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |w: u64| {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(num_blocks as u64);
-    for &a in assignment {
-        eat(u64::from(a));
-    }
-    h
+    let words = std::iter::once(num_blocks as u64).chain(assignment.iter().map(|&a| u64::from(a)));
+    let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+    fnv1a(&bytes)
 }
 
 fn pin_case(variant: Variant, threads: usize, truncated: bool) -> (u64, u64) {
@@ -61,7 +53,7 @@ fn pin_case(variant: Variant, threads: usize, truncated: bool) -> (u64, u64) {
 /// tree.
 /// Thread count is not part of the key: results are pinned identical across
 /// 1/2/7 threads.
-const GOLDEN: [(Variant, bool, u64, u64); 8] = [
+const PINNED_BITS: [(Variant, bool, u64, u64); 8] = [
     (
         Variant::Metropolis,
         false,
@@ -114,7 +106,7 @@ const GOLDEN: [(Variant, bool, u64, u64); 8] = [
 
 #[test]
 fn exact_mode_matches_prechange_golden_bits() {
-    for (variant, truncated, mdl_bits, fp) in GOLDEN {
+    for (variant, truncated, mdl_bits, fp) in PINNED_BITS {
         for threads in [1usize, 2, 7] {
             let (got_bits, got_fp) = pin_case(variant, threads, truncated);
             assert_eq!(

@@ -22,7 +22,7 @@
 use crate::state::{EvolvingGraph, Mutation, Snapshot};
 use crate::wal;
 use hsbp_blockmodel::Block;
-use hsbp_core::{HsbpError, SbpConfig};
+use hsbp_core::{write_atomic, HsbpError, SbpConfig};
 use hsbp_graph::{Vertex, Weight};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -31,26 +31,6 @@ const META_FILE: &str = "meta.txt";
 const SNAPSHOT_FILE: &str = "snapshot.txt";
 const WAL_FILE: &str = "wal.log";
 const FORMAT_HEADER: &str = "hsbp-serve-state v1";
-
-fn state_err(path: &Path, message: impl Into<String>) -> HsbpError {
-    HsbpError::Checkpoint {
-        path: path.display().to_string(),
-        message: message.into(),
-    }
-}
-
-/// Write `content` to `path` via a temporary sibling + fsync + rename, so
-/// a kill mid-write never leaves a torn file where readers look.
-fn write_atomic(path: &Path, content: &str) -> Result<(), HsbpError> {
-    let tmp = path.with_extension("tmp");
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| state_err(&tmp, format!("create: {e}")))?;
-    file.write_all(content.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| state_err(&tmp, format!("write: {e}")))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| state_err(path, format!("rename: {e}")))
-}
 
 /// The snapshot state loaded back from disk.
 #[derive(Debug)]
@@ -111,16 +91,17 @@ impl StateDir {
         let expected = meta_content(cfg);
         if meta_path.exists() {
             let found = std::fs::read_to_string(&meta_path)
-                .map_err(|e| state_err(&meta_path, format!("read: {e}")))?;
+                .map_err(|e| HsbpError::checkpoint(&meta_path, format!("read: {e}")))?;
             if found != expected {
-                return Err(state_err(
+                return Err(HsbpError::checkpoint(
                     &meta_path,
                     "state identity mismatch (different seed or variant); \
                      refusing to warm-start",
                 ));
             }
         } else {
-            std::fs::create_dir_all(&dir).map_err(|e| state_err(&dir, format!("create: {e}")))?;
+            std::fs::create_dir_all(&dir)
+                .map_err(|e| HsbpError::checkpoint(&dir, format!("create: {e}")))?;
             write_atomic(&meta_path, &expected)?;
         }
         Ok(Self { dir })
@@ -174,16 +155,17 @@ impl StateDir {
         }
 
         let tmp = path.with_extension("tmp");
-        let mut file =
-            std::fs::File::create(&tmp).map_err(|e| state_err(&tmp, format!("create: {e}")))?;
+        let mut file = std::fs::File::create(&tmp)
+            .map_err(|e| HsbpError::checkpoint(&tmp, format!("create: {e}")))?;
         file.write_all(content.as_bytes())
             .and_then(|()| file.sync_all())
-            .map_err(|e| state_err(&tmp, format!("write: {e}")))?;
+            .map_err(|e| HsbpError::checkpoint(&tmp, format!("write: {e}")))?;
         drop(file);
         if !before_rename() {
             return Ok(()); // injected crash: the rename never happens
         }
-        std::fs::rename(&tmp, &path).map_err(|e| state_err(&path, format!("rename: {e}")))
+        std::fs::rename(&tmp, &path)
+            .map_err(|e| HsbpError::checkpoint(&path, format!("rename: {e}")))
     }
 
     /// Load the persisted snapshot, or `None` when the directory has never
@@ -194,9 +176,9 @@ impl StateDir {
         if !path.exists() {
             return Ok(None);
         }
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| state_err(&path, format!("read: {e}")))?;
-        let bad = |what: &str| state_err(&path, format!("malformed snapshot: {what}"));
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| HsbpError::checkpoint(&path, format!("read: {e}")))?;
+        let bad = |what: &str| HsbpError::checkpoint(&path, format!("malformed snapshot: {what}"));
         let mut lines = text.lines();
         if lines.next() != Some("hsbp-serve-snapshot v1") {
             return Err(bad("missing header"));

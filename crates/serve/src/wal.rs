@@ -19,6 +19,7 @@
 //! appends extend a clean log.
 
 use crate::state::Mutation;
+use hsbp_collections::fnv1a;
 use hsbp_core::HsbpError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -70,16 +71,6 @@ fn wal_err(path: &Path, message: impl Into<String>) -> HsbpError {
         path: path.display().to_string(),
         message: message.into(),
     }
-}
-
-/// FNV-1a over the payload bytes — the record checksum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Encode one batch into a payload (count-prefixed tagged entries).
@@ -156,7 +147,7 @@ fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(20 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -213,7 +204,7 @@ pub fn replay(path: &Path) -> Result<WalReplay, HsbpError> {
             torn_tail = true;
             break;
         };
-        if checksum(payload) != sum {
+        if fnv1a(payload) != sum {
             torn_tail = true;
             break;
         }

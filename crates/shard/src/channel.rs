@@ -57,15 +57,9 @@ pub const SYNC_PROTOCOL_VERSION: u32 = 1;
 /// Bytes of the record header: `[u32 len][u64 seq][u64 checksum]`.
 pub const HEADER_LEN: usize = 4 + 8 + 8;
 
-/// FNV-1a over `bytes` (same constants as the serve WAL).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a over `bytes`: the frame checksum (the same one the serve WAL
+/// uses).
+pub use hsbp_collections::fnv1a as checksum;
 
 /// One decoded sync-protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,10 +24,10 @@
 
 use crate::runner::CostBasis;
 use crate::{PartitionStrategy, ShardConfig};
-use hsbp_core::{HsbpError, RunStats, SbpResult};
+use hsbp_collections::fnv1a;
+use hsbp_core::{write_atomic, HsbpError, RunStats, SbpResult};
 use hsbp_graph::partition::{read_partition_file, write_partition_file};
 use hsbp_graph::Graph;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const META_FILE: &str = "meta.txt";
@@ -53,42 +53,18 @@ pub struct Checkpoint {
     dir: PathBuf,
 }
 
-fn ckpt_err(path: &Path, message: impl Into<String>) -> HsbpError {
-    HsbpError::Checkpoint {
-        path: path.display().to_string(),
-        message: message.into(),
-    }
-}
-
 /// Stable tag for the partition strategy, stored in `meta.txt`. External
-/// partitions are fingerprinted (FNV-1a over the part ids) rather than
-/// inlined — `parts.txt` holds the full plan either way.
+/// partitions are fingerprinted (FNV-1a over the part ids' little-endian
+/// bytes) rather than inlined — `parts.txt` holds the full plan either way.
 fn strategy_tag(strategy: &PartitionStrategy) -> String {
     match strategy {
         PartitionStrategy::RoundRobin => "round-robin".to_string(),
         PartitionStrategy::DegreeBalanced => "degree-balanced".to_string(),
         PartitionStrategy::FromParts(parts) => {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for &p in parts {
-                hash ^= u64::from(p);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            format!("from-parts:{hash:016x}")
+            let bytes: Vec<u8> = parts.iter().flat_map(|p| p.to_le_bytes()).collect();
+            format!("from-parts:{:016x}", fnv1a(&bytes))
         }
     }
-}
-
-/// Write `content` to `path` via a temporary sibling + rename, so readers
-/// never observe a half-written file.
-fn write_atomic(path: &Path, content: &str) -> Result<(), HsbpError> {
-    let tmp = path.with_extension("tmp");
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| ckpt_err(&tmp, format!("create: {e}")))?;
-    file.write_all(content.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| ckpt_err(&tmp, format!("write: {e}")))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| ckpt_err(path, format!("rename: {e}")))
 }
 
 fn meta_content(graph: &Graph, cfg: &ShardConfig) -> String {
@@ -125,26 +101,27 @@ impl Checkpoint {
 
         if meta_path.exists() {
             let found = std::fs::read_to_string(&meta_path)
-                .map_err(|e| ckpt_err(&meta_path, format!("read: {e}")))?;
+                .map_err(|e| HsbpError::checkpoint(&meta_path, format!("read: {e}")))?;
             if found != expected_meta {
-                return Err(ckpt_err(
+                return Err(HsbpError::checkpoint(
                     &meta_path,
                     "run identity mismatch (different graph, seed, shard count, \
                      or partition strategy); refusing to resume",
                 ));
             }
             let stored = read_partition_file(&parts_path)
-                .map_err(|e| ckpt_err(&parts_path, format!("read: {e}")))?;
+                .map_err(|e| HsbpError::checkpoint(&parts_path, format!("read: {e}")))?;
             if stored != parts {
-                return Err(ckpt_err(
+                return Err(HsbpError::checkpoint(
                     &parts_path,
                     "stored partition plan differs from the live plan",
                 ));
             }
         } else {
-            std::fs::create_dir_all(&dir).map_err(|e| ckpt_err(&dir, format!("create: {e}")))?;
+            std::fs::create_dir_all(&dir)
+                .map_err(|e| HsbpError::checkpoint(&dir, format!("create: {e}")))?;
             write_partition_file(parts, &parts_path)
-                .map_err(|e| ckpt_err(&parts_path, format!("write: {e}")))?;
+                .map_err(|e| HsbpError::checkpoint(&parts_path, format!("write: {e}")))?;
             // Meta is written last: its presence marks an initialised
             // directory.
             write_atomic(&meta_path, &expected_meta)?;
@@ -211,9 +188,10 @@ impl Checkpoint {
         if !path.exists() {
             return Ok(None);
         }
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| ckpt_err(&path, format!("read: {e}")))?;
-        let parse = |what: &str| ckpt_err(&path, format!("malformed shard file: {what}"));
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| HsbpError::checkpoint(&path, format!("read: {e}")))?;
+        let parse =
+            |what: &str| HsbpError::checkpoint(&path, format!("malformed shard file: {what}"));
 
         let mut lines = text.lines();
         let header = lines.next().ok_or_else(|| parse("missing header"))?;

@@ -33,6 +33,12 @@
 //! catches silent replica divergence (e.g. memory corruption, exercised by
 //! the `desync` fault) and heals it with the same coordinator resync.
 //!
+//! The search itself is core's: [`run_exact_sbp_budgeted`] runs
+//! [`golden_section_search`] with the cluster as the MCMC phase executor
+//! (one sync round per round of `sync_every` sweeps), so the exact mode
+//! shares the convergence window, drift injection, audit, budgets and
+//! cancellation of `detect`.
+//!
 //! Because recovery completes inside the round barrier, every replica
 //! re-enters the next sweep in the consolidated state: drop / duplicate /
 //! reorder / corrupt / delay plans change the wire traffic (visible in
@@ -47,18 +53,17 @@ use crate::channel::{
 };
 use crate::stitch::reassign_dropped;
 use hsbp_blockmodel::{
-    audit_blockmodel, evaluate_move_with, mdl, propose::accept_move, propose_block,
-    repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
+    evaluate_move_with, propose::accept_move, propose_block, Block, Blockmodel, NeighborCounts,
+    ProposalArena,
 };
 use hsbp_collections::sample::mix_words;
 use hsbp_collections::SplitMix64;
 use hsbp_core::{
-    merge_phase_controlled, DriftEvent, HsbpError, McmcOutcome, RunControl, RunStats, SbpConfig,
-    SbpResult,
+    golden_section_search, CancelToken, HsbpError, PhaseExecutor, RunBudget, RunControl, RunStats,
+    SbpConfig, SbpResult, SweepCounters,
 };
 use hsbp_graph::{Graph, Vertex};
 use hsbp_parallel::{pool_for, with_resident, ThreadPool};
-use hsbp_timing::Phase;
 
 /// Configuration of the exact distributed mode.
 #[derive(Debug, Clone)]
@@ -197,6 +202,10 @@ struct Cluster<'a> {
     round: u64,
     rounds_log: Vec<RoundNet>,
     dead_log: Vec<DeadShard>,
+    /// Pool the shards' local sweeps run on.
+    pool: &'static ThreadPool,
+    /// Scratch for folding deltas into replicas and the coordinator.
+    arena: ProposalArena,
 }
 
 impl<'a> Cluster<'a> {
@@ -224,6 +233,8 @@ impl<'a> Cluster<'a> {
             round: 0,
             rounds_log: Vec::new(),
             dead_log: Vec::new(),
+            pool: pool_for(cfg.sbp.threads),
+            arena: ProposalArena::default(),
         }
     }
 
@@ -308,11 +319,24 @@ impl<'a> Cluster<'a> {
         }
         Ok(())
     }
+}
+
+/// The exact mode's MCMC phase executor: each round is one sync round of
+/// `sync_every` local sweeps per shard. With `sync_every = 1` the salt,
+/// counter RNG, convergence window and audit cadence line up exactly with
+/// in-process EA-SBP.
+impl PhaseExecutor for Cluster<'_> {
+    fn batch(&self) -> usize {
+        self.cfg.sync_every
+    }
+
+    fn begin_phase(&mut self, graph: &Graph, bm: &Blockmodel, stats: &mut RunStats) {
+        self.reseed(graph, bm, stats);
+    }
 
     /// One sync round: `batch` local sweeps per live shard, delta
     /// broadcast, recovery barrier, digest exchange.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_round(
+    fn run_round(
         &mut self,
         graph: &Graph,
         coordinator: &mut Blockmodel,
@@ -320,9 +344,8 @@ impl<'a> Cluster<'a> {
         sweep_base: u64,
         batch: usize,
         stats: &mut RunStats,
-        exec: &ThreadPool,
-        arena: &mut ProposalArena,
-    ) -> Result<(u64, u64), HsbpError> {
+        _ctrl: &RunControl,
+    ) -> Result<SweepCounters, HsbpError> {
         let cfg = &self.cfg.sbp;
         let round = self.round;
         let start_messages = self.net.totals.messages;
@@ -355,7 +378,7 @@ impl<'a> Cluster<'a> {
             })
             .collect();
         let owned = &self.owned;
-        let results: Vec<ShardMoves> = exec.map_vec(
+        let results: Vec<ShardMoves> = self.pool.map_vec(
             locals,
             || (),
             |(), (s, mut local)| {
@@ -395,7 +418,6 @@ impl<'a> Cluster<'a> {
             },
         );
         let swept: usize = senders.iter().map(|&s| self.owned[s].len()).sum();
-        stats.proposals += (swept * batch) as u64;
         let costs: Vec<f64> = senders
             .iter()
             .flat_map(|&s| self.owned[s].iter())
@@ -413,7 +435,6 @@ impl<'a> Cluster<'a> {
         let mut replicas_back: Vec<(usize, Blockmodel)> = Vec::with_capacity(results.len());
         let mut total_moves = 0usize;
         for (s, local, moves) in results {
-            stats.accepted += moves.len() as u64;
             total_moves += moves.len();
             moves_of[s] = Some(moves);
             replicas_back.push((s, local));
@@ -441,7 +462,7 @@ impl<'a> Cluster<'a> {
             .cost_model
             .prefer_incremental_consolidation(incremental_cost, graph.num_edges())
         {
-            apply_assignment_diff(graph, coordinator, &new_assignment, arena);
+            apply_assignment_diff(graph, coordinator, &new_assignment, &mut self.arena);
             stats.consolidated_moves += net_moves as u64;
             stats.consolidations_incremental += 1;
             stats.sim_mcmc.add_serial(incremental_cost);
@@ -522,7 +543,7 @@ impl<'a> Cluster<'a> {
                     match self.trackers[r][src].offer(seq) {
                         Offer::Apply => {
                             if let Some(replica) = self.replicas[r].as_mut() {
-                                apply_moves(graph, replica, &moves, arena);
+                                apply_moves(graph, replica, &moves, &mut self.arena);
                             }
                             // Drain any buffered successors.
                             loop {
@@ -536,7 +557,7 @@ impl<'a> Cluster<'a> {
                                 let (_, s, buffered) = pending[r].swap_remove(pos);
                                 self.trackers[r][src].offer(s);
                                 if let Some(replica) = self.replicas[r].as_mut() {
-                                    apply_moves(graph, replica, &buffered, arena);
+                                    apply_moves(graph, replica, &buffered, &mut self.arena);
                                 }
                             }
                         }
@@ -649,10 +670,26 @@ impl<'a> Cluster<'a> {
             resyncs: self.net.totals.resyncs - start_resyncs,
         });
         self.round += 1;
-        Ok((
-            self.net.totals.bytes - start_bytes,
-            self.net.totals.retransmits - start_retransmits,
-        ))
+        stats.sync_rounds += 1;
+        Ok(SweepCounters {
+            proposals: (swept * batch) as u64,
+            accepted: total_moves as u64,
+        })
+    }
+
+    /// The replicas no longer match the coordinator (drift injected or
+    /// repaired, the audit's repair surfaced as protocol resyncs):
+    /// full-state resync of every live shard, charged like an EA replica
+    /// reseed.
+    fn model_rewritten(&mut self, graph: &Graph, bm: &Blockmodel, stats: &mut RunStats) {
+        let live = self.live_shards();
+        for &s in &live {
+            self.resync(s, graph, bm);
+        }
+        stats.sim_mcmc.add_parallel_uniform(
+            live.len() as f64 * self.cfg.sbp.cost_model.rebuild_cost(graph.num_edges()),
+            0.0,
+        );
     }
 }
 
@@ -712,138 +749,10 @@ pub fn apply_delta(graph: &Graph, replica: &mut Blockmodel, moves: &[(Vertex, Bl
     apply_moves(graph, replica, moves, &mut arena);
 }
 
-/// One MCMC phase of the exact distributed driver. Mirrors
-/// `run_mcmc_phase_controlled` with the EA-SBP sweep replaced by the
-/// channel-synchronised distributed sweep; with `sync_every = 1` the salt,
-/// counter RNG, convergence window and audit cadence line up exactly.
-#[allow(clippy::too_many_arguments)]
-fn exact_mcmc_phase(
-    graph: &Graph,
-    coordinator: &mut Blockmodel,
-    cluster: &mut Cluster<'_>,
-    cfg: &ExactConfig,
-    phase_index: u64,
-    stats: &mut RunStats,
-    exec: &ThreadPool,
-) -> Result<McmcOutcome, HsbpError> {
-    let salt = mix_words(&[cfg.sbp.seed, 0x4d43_4d43, phase_index]); // "MCMC"
-    let n = graph.num_vertices();
-    stats.mcmc_phases += 1;
-    cluster.reseed(graph, coordinator, stats);
-
-    let mut arena = ProposalArena::default();
-    let mut previous = mdl::mdl(coordinator, n, graph.total_weight());
-    let mut recent_deltas: Vec<f64> = Vec::with_capacity(3);
-    let mut sweeps = 0usize;
-    let mut converged = false;
-    while sweeps < cfg.sbp.max_sweeps {
-        let batch = cfg.sync_every.min(cfg.sbp.max_sweeps - sweeps);
-        let sweeps_before = stats.mcmc_sweeps;
-        cluster.sync_round(
-            graph,
-            coordinator,
-            salt,
-            sweeps as u64,
-            batch,
-            stats,
-            exec,
-            &mut arena,
-        )?;
-        sweeps += batch;
-        stats.mcmc_sweeps += batch;
-        stats.sync_rounds += 1;
-
-        // Drift-injection and audit hooks fire when the round crossed
-        // their cumulative-sweep boundary (at batch 1: the exact sweep).
-        if let Some(at) = cfg.sbp.inject_drift_at_sweep {
-            if sweeps_before < at && at <= stats.mcmc_sweeps {
-                coordinator.inject_state_corruption(mix_words(&[
-                    cfg.sbp.seed,
-                    0x4452_4946, // "DRIF"
-                    at as u64,
-                ]));
-                // The replicas no longer match the (corrupted) coordinator:
-                // full-state resync, charged like an EA replica reseed.
-                let live = cluster.live_shards();
-                for &s in &live {
-                    cluster.resync(s, graph, coordinator);
-                }
-                stats.sim_mcmc.add_parallel_uniform(
-                    live.len() as f64 * cfg.sbp.cost_model.rebuild_cost(graph.num_edges()),
-                    0.0,
-                );
-            }
-        }
-        if cfg.sbp.audit_cadence > 0
-            && sweeps_before / cfg.sbp.audit_cadence != stats.mcmc_sweeps / cfg.sbp.audit_cadence
-        {
-            stats.audits_run += 1;
-            if let Some(report) = audit_blockmodel(coordinator, graph) {
-                if cfg.sbp.strict_audit {
-                    return Err(HsbpError::StateDrift {
-                        sweep: stats.mcmc_sweeps,
-                        detail: report.summary(),
-                    });
-                }
-                repair_blockmodel(coordinator, graph);
-                stats.drift_events.push(DriftEvent {
-                    total_sweep: stats.mcmc_sweeps,
-                    phase_index,
-                    mismatches: report.mismatches,
-                    mdl_delta: report.mdl_delta,
-                    repaired: true,
-                });
-                // The repair rewrote the coordinator: broadcast it (the
-                // PR 3 repair path surfaced as protocol resyncs), charged
-                // like an EA replica reseed.
-                let live = cluster.live_shards();
-                for &s in &live {
-                    cluster.resync(s, graph, coordinator);
-                }
-                stats.sim_mcmc.add_parallel_uniform(
-                    live.len() as f64 * cfg.sbp.cost_model.rebuild_cost(graph.num_edges()),
-                    0.0,
-                );
-            }
-        }
-
-        let current = mdl::mdl(coordinator, n, graph.total_weight());
-        let delta = previous.total - current.total;
-        previous = current;
-        if recent_deltas.len() == 3 {
-            recent_deltas.remove(0);
-        }
-        recent_deltas.push(delta.abs());
-        if recent_deltas.len() == 3 {
-            let mean: f64 = recent_deltas.iter().sum::<f64>() / 3.0;
-            if mean < cfg.sbp.mcmc_threshold * previous.total.abs().max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-    }
-    Ok(McmcOutcome {
-        sweeps,
-        mdl: previous,
-        converged,
-        truncated: false,
-    })
-}
-
-/// One evaluated point of the golden-section search.
-#[derive(Debug, Clone)]
-struct Evaluated {
-    num_blocks: usize,
-    mdl_total: f64,
-    assignment: Vec<Block>,
-}
-
-/// Golden-section interior fraction (same constant as the core driver).
-const GOLDEN: f64 = 0.382;
-
-/// Run exact distributed SBP: the full agglomerative golden-section search
-/// with the MCMC phase executed as a fault-tolerant distributed sweep over
-/// `cfg.num_shards` replicated blockmodels.
+/// Run exact distributed SBP: the shared golden-section search
+/// ([`golden_section_search`]) with the MCMC phase executed as a
+/// fault-tolerant distributed sweep over `cfg.num_shards` replicated
+/// blockmodels.
 ///
 /// Deterministic in `(graph, cfg)` — including the fault plan: every
 /// drop/retransmit/resync decision is a pure function of the plan seed and
@@ -851,185 +760,44 @@ const GOLDEN: f64 = 0.382;
 /// returned labels are bit-identical to
 /// `run_sbp(Variant::ExactAsync, exact_async_workers = num_shards)`.
 pub fn run_exact_sbp(graph: &Graph, cfg: &ExactConfig) -> Result<ExactRun, HsbpError> {
+    run_exact_sbp_budgeted(graph, cfg, &RunBudget::unlimited(), &CancelToken::new())
+}
+
+/// [`run_exact_sbp`] under a [`RunBudget`] and a [`CancelToken`], with the
+/// same contract as [`hsbp_core::run_sbp_budgeted`]: the control is checked
+/// at every evaluation, merge round and sync round, a tripped control
+/// discards the in-flight evaluation, and the result is a prefix point of
+/// the unlimited run's trajectory (`result.stats.stop_cause` says why it
+/// stopped). A sweep budget is checked between sync rounds, so a round of
+/// `sync_every` sweeps may run past it.
+pub fn run_exact_sbp_budgeted(
+    graph: &Graph,
+    cfg: &ExactConfig,
+    budget: &RunBudget,
+    token: &CancelToken,
+) -> Result<ExactRun, HsbpError> {
     cfg.validate().map_err(HsbpError::InvalidConfig)?;
-    let mut stats = RunStats::new(&cfg.sbp);
+    budget.validate().map_err(HsbpError::InvalidConfig)?;
     let n = graph.num_vertices();
-    if n == 0 {
-        return Ok(ExactRun {
-            result: SbpResult {
-                assignment: Vec::new(),
-                num_blocks: 0,
-                mdl: mdl::Mdl {
-                    log_likelihood: 0.0,
-                    model_complexity: 0.0,
-                    total: 0.0,
-                },
-                normalized_mdl: f64::NAN,
-                trajectory: Vec::new(),
-                stats,
-            },
-            rounds: Vec::new(),
-            net: NetTotals::default(),
-            dead_shards: Vec::new(),
-            num_shards: cfg.num_shards,
-        });
-    }
-
-    let ctrl = RunControl::unlimited();
-    let exec = pool_for(cfg.sbp.threads);
     let mut cluster = Cluster::new(graph, cfg);
-    let mut bm = stats
-        .timer
-        .time(Phase::Other, || Blockmodel::singleton_partition(graph));
-    let singleton_mdl = mdl::mdl(&bm, n, graph.total_weight()).total;
-
-    let mut upper: Option<Evaluated> = Some(Evaluated {
-        num_blocks: n,
-        mdl_total: singleton_mdl,
-        assignment: bm.assignment().to_vec(),
-    });
-    let mut mid: Option<Evaluated> = None;
-    let mut lower: Option<Evaluated> = None;
-
-    let mut phase_index: u64 = 0;
-    let mut trajectory: Vec<(usize, f64)> = Vec::new();
-    loop {
-        if stats.outer_iterations >= cfg.sbp.max_outer_iterations {
-            break;
-        }
-        let bracketed = mid.is_some() && lower.is_some();
-        let target = if !bracketed {
-            let b = bm.num_blocks();
-            if b <= 1 {
-                break;
-            }
-            (((b as f64) * cfg.sbp.block_reduction_rate).round() as usize).clamp(1, b - 1)
-        } else {
-            let (Some(u), Some(m), Some(l)) = (&upper, &mid, &lower) else {
-                unreachable!("bracketed implies upper, mid and lower are all set");
-            };
-            if u.num_blocks.saturating_sub(l.num_blocks) <= 2 {
-                break;
-            }
-            let gap_hi = u.num_blocks - m.num_blocks;
-            let gap_lo = m.num_blocks - l.num_blocks;
-            if gap_hi >= gap_lo && gap_hi >= 2 {
-                let t = m.num_blocks + ((gap_hi as f64) * GOLDEN).round() as usize;
-                let t = t.clamp(m.num_blocks + 1, u.num_blocks - 1);
-                let source = u.clone();
-                bm = stats.timer.time(Phase::Other, || {
-                    Blockmodel::from_assignment(graph, source.assignment, source.num_blocks)
-                });
-                t
-            } else if gap_lo >= 2 {
-                let t = m.num_blocks - ((gap_lo as f64) * GOLDEN).round() as usize;
-                let t = t.clamp(l.num_blocks + 1, m.num_blocks - 1);
-                let source = m.clone();
-                bm = stats.timer.time(Phase::Other, || {
-                    Blockmodel::from_assignment(graph, source.assignment, source.num_blocks)
-                });
-                t
-            } else {
-                break;
-            }
-        };
-
-        let start = std::time::Instant::now();
-        let merge_out = merge_phase_controlled(
-            graph,
-            &mut bm,
-            target,
-            &cfg.sbp,
-            phase_index,
-            &mut stats,
-            &ctrl,
-        );
-        stats.timer.add(Phase::BlockMerge, start.elapsed());
-        debug_assert!(!merge_out.truncated, "unlimited control cannot truncate");
-        let start = std::time::Instant::now();
-        let mcmc_res = exact_mcmc_phase(
-            graph,
-            &mut bm,
-            &mut cluster,
-            cfg,
-            phase_index,
-            &mut stats,
-            exec,
-        );
-        stats.timer.add(Phase::Mcmc, start.elapsed());
-        let mcmc_out = mcmc_res?;
-        phase_index += 1;
-        stats.outer_iterations += 1;
-
-        let evaluated = Evaluated {
-            num_blocks: bm.num_blocks(),
-            mdl_total: mcmc_out.mdl.total,
-            assignment: bm.assignment().to_vec(),
-        };
-        trajectory.push((evaluated.num_blocks, evaluated.mdl_total));
-
-        match mid.take() {
-            None => mid = Some(evaluated),
-            Some(displaced) if evaluated.mdl_total < displaced.mdl_total => {
-                if evaluated.num_blocks < displaced.num_blocks {
-                    if displaced.num_blocks < upper.as_ref().map_or(usize::MAX, |u| u.num_blocks) {
-                        upper = Some(displaced);
-                    }
-                } else if displaced.num_blocks > lower.as_ref().map_or(0, |l| l.num_blocks) {
-                    lower = Some(displaced);
-                }
-                mid = Some(evaluated);
-            }
-            Some(m) => {
-                if evaluated.num_blocks < m.num_blocks {
-                    if lower
-                        .as_ref()
-                        .is_none_or(|l| evaluated.num_blocks > l.num_blocks)
-                    {
-                        lower = Some(evaluated);
-                    }
-                } else if evaluated.num_blocks > m.num_blocks
-                    && upper
-                        .as_ref()
-                        .is_none_or(|u| evaluated.num_blocks < u.num_blocks)
-                {
-                    upper = Some(evaluated);
-                }
-                mid = Some(m);
-            }
-        }
-
-        if !(mid.is_some() && lower.is_some()) && bm.num_blocks() <= 1 {
-            break;
-        }
-    }
-
-    let Some(best) = mid.or(upper) else {
-        unreachable!("at least the singleton state exists");
-    };
-    let bm = Blockmodel::from_assignment(graph, best.assignment.clone(), best.num_blocks);
-    let final_mdl = mdl::mdl(&bm, n, graph.total_weight());
-    let null = mdl::null_mdl(graph.total_weight());
-    let started_shards = cluster.num_shards();
+    let mut result = golden_section_search(
+        graph,
+        &cfg.sbp,
+        ((0..n as Block).collect(), n),
+        0,
+        &RunControl::new(budget, token),
+        RunStats::new(&cfg.sbp),
+        &mut cluster,
+    )?;
+    let stats = &mut result.stats;
     stats.sync_retransmits = cluster.net.totals.retransmits;
     stats.sync_resyncs = cluster.net.totals.resyncs;
     stats.sync_bytes = cluster.net.totals.bytes;
     Ok(ExactRun {
-        result: SbpResult {
-            assignment: best.assignment,
-            num_blocks: best.num_blocks,
-            mdl: final_mdl,
-            normalized_mdl: if null == 0.0 {
-                f64::NAN
-            } else {
-                final_mdl.total / null
-            },
-            trajectory,
-            stats,
-        },
+        result,
+        num_shards: cluster.num_shards(),
         rounds: cluster.rounds_log,
         net: cluster.net.totals,
         dead_shards: cluster.dead_log,
-        num_shards: started_shards,
     })
 }

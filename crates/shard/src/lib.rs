@@ -73,7 +73,9 @@ use std::path::Path;
 
 pub use channel::{NetFaultPlan, NetTotals, SYNC_PROTOCOL_VERSION};
 pub use checkpoint::{Checkpoint, LoadedShard};
-pub use exact::{run_exact_sbp, DeadShard, ExactConfig, ExactRun, RoundNet};
+pub use exact::{
+    run_exact_sbp, run_exact_sbp_budgeted, DeadShard, ExactConfig, ExactRun, RoundNet,
+};
 pub use faults::{AttemptSelector, FaultKind, FaultPlan, FaultSpec};
 pub use hsbp_core::HsbpError;
 pub use partition::{partition_graph, PartitionStrategy, Shard, ShardPlan};

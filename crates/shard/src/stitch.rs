@@ -8,14 +8,14 @@
 //! 1. offsets each shard's block ids into one disjoint global id space and
 //!    builds a full-graph [`Blockmodel`] from the union assignment — the
 //!    first time the cut edges enter any model;
-//! 2. finishes the agglomerative search *globally*: the same
-//!    golden-section bracket over the block count as the single-model
-//!    driver, except warm-started from the stitched union instead of the
-//!    singleton partition. Each evaluation is a [`merge_phase`] (which
-//!    fuses blocks the cut edges reveal to be the same community) followed
-//!    by a short full-graph MCMC finetune (H-SBP by default) so boundary
-//!    vertices that were sharded away from their community can cross over;
-//! 3. returns the best-MDL state the bracket search evaluated.
+//! 2. finishes the agglomerative search *globally* on the shared driver
+//!    ([`golden_section_search`]), warm-started from the stitched union
+//!    instead of the singleton partition. Each evaluation is a merge phase
+//!    (which fuses blocks the cut edges reveal to be the same community)
+//!    followed by a short full-graph MCMC finetune (H-SBP by default) so
+//!    boundary vertices that were sharded away from their community can
+//!    cross over;
+//! 3. returns the best-MDL state the search evaluated.
 //!
 //! Under supervision ([`stitch_supervised`]) a shard may have been dropped.
 //! The union then covers surviving shards only, and the dropped shards'
@@ -29,7 +29,9 @@
 
 use crate::ShardConfig;
 use hsbp_blockmodel::{mdl, Block, Blockmodel};
-use hsbp_core::{merge_phase, run_mcmc_phase, HsbpError, RunStats, SbpConfig, SbpResult};
+use hsbp_core::{
+    golden_section_search, HsbpError, RunControl, RunStats, SbpConfig, SbpResult, VariantSweeps,
+};
 use hsbp_graph::Graph;
 use std::collections::HashMap;
 
@@ -51,17 +53,6 @@ pub struct StitchReport {
     pub reassigned_vertices: usize,
 }
 
-/// One evaluated point of the stitch search: a partition at a block count.
-#[derive(Debug, Clone)]
-struct Evaluated {
-    num_blocks: usize,
-    mdl_total: f64,
-    assignment: Vec<Block>,
-}
-
-/// Golden-section interior fraction (same as the driver's).
-const GOLDEN: f64 = 0.382;
-
 /// Union the per-shard assignments into one global assignment with
 /// disjoint block ids. Returns `(assignment, num_blocks)`.
 fn union_assignment(
@@ -82,7 +73,7 @@ fn union_assignment(
             shard_results[shard as usize].assignment[local as usize] + offsets[shard as usize]
         })
         .collect();
-    (assignment, total_blocks.max(1))
+    (assignment, total_blocks)
 }
 
 /// Union over *surviving* shards only: dropped shards' vertices come back
@@ -223,15 +214,11 @@ pub fn stitch(
         shard_results.len(),
         "one result per shard"
     );
-    let finetune_cfg = finetune_config(cfg);
-    let mut stats = RunStats::new(&finetune_cfg);
+    let mut stats = RunStats::new(&finetune_config(cfg));
     fold_stats(&mut stats, shard_results.iter());
-    if graph.num_vertices() == 0 {
-        return empty_stitch(stats);
-    }
     let refs: Vec<&SbpResult> = shard_results.iter().collect();
     let (assignment, blocks_stitched) = union_assignment(plan, &refs);
-    stitch_core(graph, assignment, blocks_stitched, 0, stats, cfg)
+    stitch_core(graph, assignment, blocks_stitched, 0, stats, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Stitch the (possibly gappy) results of a supervised run. Dropped shards
@@ -246,12 +233,8 @@ pub fn stitch_supervised(
     cfg: &ShardConfig,
 ) -> Result<(SbpResult, StitchReport), HsbpError> {
     assert_eq!(plan.num_shards(), results.len(), "one slot per shard");
-    let finetune_cfg = finetune_config(cfg);
-    let mut stats = RunStats::new(&finetune_cfg);
+    let mut stats = RunStats::new(&finetune_config(cfg));
     fold_stats(&mut stats, results.iter().flatten());
-    if graph.num_vertices() == 0 {
-        return Ok(empty_stitch(stats));
-    }
     if results.iter().all(Option::is_none) {
         return Err(HsbpError::AllShardsFailed {
             num_shards: results.len(),
@@ -276,16 +259,9 @@ pub fn stitch_supervised(
         }
         let reassigned = reassign_dropped(graph, &mut partial, surviving_blocks);
         let assignment: Vec<Block> = partial.into_iter().map(|b| b.unwrap_or(0)).collect();
-        (assignment, surviving_blocks.max(1), reassigned)
+        (assignment, surviving_blocks, reassigned)
     };
-    Ok(stitch_core(
-        graph,
-        assignment,
-        blocks_stitched,
-        reassigned,
-        stats,
-        cfg,
-    ))
+    stitch_core(graph, assignment, blocks_stitched, reassigned, stats, cfg)
 }
 
 fn finetune_config(cfg: &ShardConfig) -> SbpConfig {
@@ -296,186 +272,45 @@ fn finetune_config(cfg: &ShardConfig) -> SbpConfig {
     }
 }
 
-fn empty_stitch(stats: RunStats) -> (SbpResult, StitchReport) {
-    let report = StitchReport {
-        blocks_stitched: 0,
-        blocks_final: 0,
-        steps: 0,
-        finetune_sweeps: 0,
-        stitched_mdl: 0.0,
-        reassigned_vertices: 0,
-    };
-    let result = SbpResult {
-        assignment: Vec::new(),
-        num_blocks: 0,
-        mdl: mdl::Mdl {
-            log_likelihood: 0.0,
-            model_complexity: 0.0,
-            total: 0.0,
-        },
-        normalized_mdl: f64::NAN,
-        trajectory: Vec::new(),
-        stats,
-    };
-    (result, report)
-}
-
-/// The global merge/finetune search over a stitched union assignment.
+/// The global merge/finetune search over a stitched union assignment: the
+/// shared driver warm-started from the union, with phase salts disjoint
+/// from the per-shard ones.
 fn stitch_core(
     graph: &Graph,
     assignment: Vec<Block>,
     blocks_stitched: usize,
     reassigned_vertices: usize,
-    mut stats: RunStats,
+    stats: RunStats,
     cfg: &ShardConfig,
-) -> (SbpResult, StitchReport) {
+) -> Result<(SbpResult, StitchReport), HsbpError> {
     let n = graph.num_vertices();
     let finetune_cfg = finetune_config(cfg);
-    let mut bm = Blockmodel::from_assignment(graph, assignment, blocks_stitched);
-    let stitched_mdl = mdl::mdl(&bm, n, graph.total_weight()).total;
-
-    // Golden-section bracket over the block count, mirroring the driver's
-    // bookkeeping: `mid` is the best-MDL state, `upper`/`lower` the tightest
-    // worse states on either side. `upper` starts at the stitched union
-    // (the driver starts it at the singleton partition instead).
-    let mut upper: Option<Evaluated> = Some(Evaluated {
-        num_blocks: blocks_stitched,
-        mdl_total: stitched_mdl,
-        assignment: bm.assignment().to_vec(),
-    });
-    let mut mid: Option<Evaluated> = None;
-    let mut lower: Option<Evaluated> = None;
-
-    let mut trajectory = vec![(blocks_stitched, stitched_mdl)];
-    let mut steps = 0usize;
-    let mut finetune_sweeps = 0usize;
-    let mut phase_index: u64 = u64::MAX / 2; // disjoint from per-shard salts
-    loop {
-        if steps >= cfg.sbp.max_outer_iterations {
-            break;
-        }
-        // Decide the next block-count target and the state to merge from.
-        let target = match (&upper, &mid, &lower) {
-            (Some(u), Some(m), Some(l)) => {
-                if u.num_blocks.saturating_sub(l.num_blocks) <= 2 {
-                    break; // no interior candidate besides mid
-                }
-                let gap_hi = u.num_blocks - m.num_blocks;
-                let gap_lo = m.num_blocks - l.num_blocks;
-                if gap_hi >= gap_lo && gap_hi >= 2 {
-                    let t = m.num_blocks + ((gap_hi as f64) * GOLDEN).round() as usize;
-                    let t = t.clamp(m.num_blocks + 1, u.num_blocks - 1);
-                    let source = u.clone();
-                    bm = Blockmodel::from_assignment(graph, source.assignment, source.num_blocks);
-                    t
-                } else if gap_lo >= 2 {
-                    let t = m.num_blocks - ((gap_lo as f64) * GOLDEN).round() as usize;
-                    let t = t.clamp(l.num_blocks + 1, m.num_blocks - 1);
-                    let source = m.clone();
-                    bm = Blockmodel::from_assignment(graph, source.assignment, source.num_blocks);
-                    t
-                } else {
-                    break;
-                }
-            }
-            _ => {
-                let b = bm.num_blocks();
-                if b <= 1 {
-                    break;
-                }
-                (((b as f64) * cfg.sbp.block_reduction_rate).round() as usize).clamp(1, b - 1)
-            }
-        };
-
-        merge_phase(
-            graph,
-            &mut bm,
-            target,
-            &finetune_cfg,
-            phase_index,
-            &mut stats,
-        );
-        let outcome = run_mcmc_phase(graph, &mut bm, &finetune_cfg, phase_index, &mut stats);
-        phase_index += 1;
-        steps += 1;
-        finetune_sweeps += outcome.sweeps;
-
-        let evaluated = Evaluated {
-            num_blocks: bm.num_blocks(),
-            mdl_total: outcome.mdl.total,
-            assignment: bm.assignment().to_vec(),
-        };
-        trajectory.push((evaluated.num_blocks, evaluated.mdl_total));
-
-        // Bracket update (identical to the driver's).
-        match &mid {
-            None => mid = Some(evaluated),
-            Some(m) if evaluated.mdl_total < m.mdl_total => {
-                if let Some(displaced) = mid.take() {
-                    if evaluated.num_blocks < displaced.num_blocks {
-                        if displaced.num_blocks
-                            < upper.as_ref().map_or(usize::MAX, |u| u.num_blocks)
-                        {
-                            upper = Some(displaced);
-                        }
-                    } else if displaced.num_blocks > lower.as_ref().map_or(0, |l| l.num_blocks) {
-                        lower = Some(displaced);
-                    }
-                }
-                mid = Some(evaluated);
-            }
-            Some(m) => {
-                if evaluated.num_blocks < m.num_blocks {
-                    if lower
-                        .as_ref()
-                        .is_none_or(|l| evaluated.num_blocks > l.num_blocks)
-                    {
-                        lower = Some(evaluated);
-                    }
-                } else if evaluated.num_blocks > m.num_blocks
-                    && upper
-                        .as_ref()
-                        .is_none_or(|u| evaluated.num_blocks < u.num_blocks)
-                {
-                    upper = Some(evaluated);
-                }
-            }
-        }
-
-        if !(mid.is_some() && lower.is_some()) && bm.num_blocks() <= 1 {
-            break;
-        }
-    }
-
-    let best = match mid.or(upper) {
-        Some(best) => best,
-        // `upper` is seeded with the stitched union and never cleared.
-        None => unreachable!("the stitched union is always recorded"),
-    };
-    let best_bm = Blockmodel::from_assignment(graph, best.assignment.clone(), best.num_blocks);
-    let final_mdl = mdl::mdl(&best_bm, n, graph.total_weight());
-    let null = mdl::null_mdl(graph.total_weight());
-    let result = SbpResult {
-        assignment: best.assignment,
-        num_blocks: best.num_blocks,
-        mdl: final_mdl,
-        normalized_mdl: if null == 0.0 {
-            f64::NAN
-        } else {
-            final_mdl.total / null
-        },
-        trajectory,
+    let stitched = Blockmodel::from_assignment(graph, assignment.clone(), blocks_stitched);
+    let stitched_mdl = mdl::mdl(&stitched, n, graph.total_weight()).total;
+    let sweeps_before = stats.mcmc_sweeps;
+    let mut result = golden_section_search(
+        graph,
+        &finetune_cfg,
+        (assignment, blocks_stitched),
+        u64::MAX / 2,
+        &RunControl::unlimited(),
         stats,
-    };
+        &mut VariantSweeps::new(&finetune_cfg),
+    )?;
+    let steps = result.trajectory.len();
+    if n > 0 {
+        // The stitch's trajectory opens with the raw union.
+        result.trajectory.insert(0, (blocks_stitched, stitched_mdl));
+    }
     let report = StitchReport {
         blocks_stitched,
         blocks_final: result.num_blocks,
         steps,
-        finetune_sweeps,
+        finetune_sweeps: result.stats.mcmc_sweeps - sweeps_before,
         stitched_mdl,
         reassigned_vertices,
     };
-    (result, report)
+    Ok((result, report))
 }
 
 #[cfg(test)]

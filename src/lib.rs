@@ -71,7 +71,7 @@ pub use hsbp_core::{
 };
 pub use hsbp_graph::{Graph, GraphBuilder};
 pub use hsbp_shard::{
-    run_exact_sbp, run_sharded_sbp, run_sharded_sbp_detailed, run_sharded_sbp_resumable,
-    ExactConfig, ExactRun, FaultPlan, NetFaultPlan, PartitionStrategy, ShardConfig, ShardOutcome,
-    ShardStatus, SupervisorConfig, SYNC_PROTOCOL_VERSION,
+    run_exact_sbp, run_exact_sbp_budgeted, run_sharded_sbp, run_sharded_sbp_detailed,
+    run_sharded_sbp_resumable, ExactConfig, ExactRun, FaultPlan, NetFaultPlan, PartitionStrategy,
+    ShardConfig, ShardOutcome, ShardStatus, SupervisorConfig, SYNC_PROTOCOL_VERSION,
 };
