@@ -8,6 +8,8 @@
 //! * [`hash`] — an Fx-style hasher (the algorithm used by rustc) plus
 //!   `FxHashMap`/`FxHashSet` aliases, much faster than SipHash for integer
 //!   keys, and the one FNV-1a checksum,
+//! * [`frame`] — the length-prefixed, FNV-1a-checksummed record format of
+//!   the serve WAL and the exact-mode sync channel,
 //! * [`sample`] — O(1) alias-table sampling, cumulative (binary-search)
 //!   sampling and a tiny splitmix-based counter RNG used for deterministic
 //!   per-vertex randomness in parallel sweeps,
@@ -19,6 +21,7 @@
 //!   path performs zero heap allocations in steady state.
 
 pub mod fastmath;
+pub mod frame;
 pub mod hash;
 pub mod sample;
 pub mod scratch;

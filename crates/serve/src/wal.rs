@@ -10,7 +10,8 @@
 //! record*  where record = [u32 payload_len][u64 seq][u64 fnv1a(payload)][payload]
 //! ```
 //!
-//! All integers are little-endian. The payload encodes one mutation batch
+//! All integers are little-endian; records are framed by
+//! [`hsbp_collections::frame`]. The payload encodes one mutation batch
 //! (`u32` count, then one tagged entry per [`Mutation`]). Replay walks the
 //! records front to back and stops at the first torn or corrupt one: a
 //! record is either applied whole or not at all, and a kill mid-append
@@ -19,7 +20,7 @@
 //! appends extend a clean log.
 
 use crate::state::Mutation;
-use hsbp_collections::fnv1a;
+use hsbp_collections::frame;
 use hsbp_core::HsbpError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -142,16 +143,6 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Option<Vec<Mutation>> {
     Some(batch)
 }
 
-/// One record's framing bytes (everything before the payload).
-fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Everything replay learned from a WAL file.
 #[derive(Debug)]
 pub struct WalReplay {
@@ -193,27 +184,16 @@ pub fn replay(path: &Path) -> Result<WalReplay, HsbpError> {
     let mut pos = WAL_MAGIC.len();
     let mut torn_tail = false;
     while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + 20) else {
+        let Ok((seq, payload, consumed)) = frame::decode(&bytes[pos..]) else {
             torn_tail = true;
             break;
         };
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap_or([0; 4])) as usize;
-        let seq = u64::from_le_bytes(header[4..12].try_into().unwrap_or([0; 8]));
-        let sum = u64::from_le_bytes(header[12..20].try_into().unwrap_or([0; 8]));
-        let Some(payload) = bytes.get(pos + 20..pos + 20 + len) else {
-            torn_tail = true;
-            break;
-        };
-        if fnv1a(payload) != sum {
-            torn_tail = true;
-            break;
-        }
         let Some(batch) = decode_batch(payload) else {
             torn_tail = true;
             break;
         };
         records.push((seq, batch));
-        pos += 20 + len;
+        pos += consumed;
     }
     Ok(WalReplay {
         records,
@@ -279,7 +259,7 @@ impl Wal {
     /// Append one batch under `seq`, honouring the fsync policy. On return
     /// the record is durable enough to acknowledge (per policy).
     pub fn append(&mut self, seq: u64, batch: &[Mutation]) -> Result<(), HsbpError> {
-        let record = frame(seq, &encode_batch(batch));
+        let record = frame::encode(seq, &encode_batch(batch));
         self.file
             .write_all(&record)
             .map_err(|e| wal_err(&self.path, format!("append seq {seq}: {e}")))?;
@@ -300,7 +280,7 @@ impl Wal {
         batch: &[Mutation],
         keep: usize,
     ) -> Result<(), HsbpError> {
-        let record = frame(seq, &encode_batch(batch));
+        let record = frame::encode(seq, &encode_batch(batch));
         let keep = keep.min(record.len().saturating_sub(1)).max(1);
         self.file
             .write_all(&record[..keep])
@@ -337,7 +317,7 @@ impl Wal {
                 .map_err(|e| wal_err(&tmp, format!("write magic: {e}")))?;
             for (seq, batch) in &replayed.records {
                 if *seq > upto {
-                    out.write_all(&frame(*seq, &encode_batch(batch)))
+                    out.write_all(&frame::encode(*seq, &encode_batch(batch)))
                         .map_err(|e| wal_err(&tmp, format!("rewrite seq {seq}: {e}")))?;
                 }
             }
