@@ -81,6 +81,40 @@ impl Json {
         out
     }
 
+    /// Multi-line serialization for report files: two-space indentation,
+    /// one object field or nested value per line, arrays of scalars kept on
+    /// one line, and a trailing newline.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let nested = |v: &Json| matches!(v, Json::Arr(_) | Json::Obj(_));
+        match self {
+            Json::Arr(items) if items.iter().any(nested) => {
+                write_block(out, depth, ('[', ']'), items.iter().map(|v| (None, v)));
+            }
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) if !fields.is_empty() => {
+                let entries = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_block(out, depth, ('{', '}'), entries);
+            }
+            scalar => scalar.write(out),
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -111,6 +145,30 @@ impl Json {
             }
         }
     }
+}
+
+/// One pretty container: each entry (with its key, for objects) sits on its
+/// own line one level deeper than `depth`, and the closing bracket returns
+/// to `depth`.
+fn write_block<'a>(
+    out: &mut String,
+    depth: usize,
+    (open, close): (char, char),
+    entries: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    out.push(open);
+    for (i, (key, value)) in entries.enumerate() {
+        out.push_str(if i > 0 { ",\n" } else { "\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            write_str(key, out);
+            out.push_str(": ");
+        }
+        value.write_pretty(out, depth + 1);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push(close);
 }
 
 /// Build an object literal from key/value pairs.
@@ -156,11 +214,18 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse one JSON value from `text`, rejecting trailing garbage.
+/// Deepest container nesting [`parse`] accepts. Each level is one frame of
+/// the recursive descent, and the daemon parses every client line on a
+/// connection thread with a default-sized stack; the deepest document the
+/// workspace writes nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON value from `text`, rejecting trailing garbage and
+/// nesting deeper than 128 levels.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -174,12 +239,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -246,17 +315,20 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash at once.
+                // Both are ASCII, so the run of the UTF-8 input ends on a
+                // char boundary.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -265,7 +337,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -278,7 +350,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -297,7 +369,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -347,6 +419,43 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn megabyte_string_roundtrips() {
+        let text: String = "ab\"c\\dé\n€".chars().cycle().take(1 << 20).collect();
+        let line = Json::Str(text.clone()).to_line();
+        assert_eq!(parse(&line).unwrap().as_str(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn pretty_layout_parses_back() {
+        let doc = obj(vec![
+            ("n", num_u(4)),
+            ("xs", Json::Arr(vec![num_u(1), Json::Num(0.5)])),
+            ("empty", Json::Arr(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![obj(vec![("s", Json::Str("q\"".into()))])]),
+            ),
+            ("none", obj(vec![])),
+        ]);
+        let text = doc.to_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"n\": 4,\n  \"xs\": [1, 0.5],\n  \"empty\": [],\n  \"rows\": [\n    {\n      \
+             \"s\": \"q\\\"\"\n    }\n  ],\n  \"none\": {}\n}\n"
+        );
+        assert_eq!(parse(&text).unwrap(), doc);
     }
 
     #[test]

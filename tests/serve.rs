@@ -281,6 +281,24 @@ fn protocol_errors_are_typed_and_connection_survives() {
     handle.join();
 }
 
+/// A hostile line nested 20,000 levels deep (40 KB) gets a typed `parse`
+/// error instead of overflowing the connection thread's stack, and the
+/// daemon keeps answering.
+#[test]
+fn deeply_nested_line_is_a_parse_error_not_a_crash() {
+    let handle = spawn_default(planted(10));
+    let mut client = Client::connect(&handle);
+
+    let deep = "[".repeat(20_000) + &"]".repeat(20_000);
+    let resp = client.request(&deep);
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(error_kind(&resp).as_deref(), Some("parse"));
+
+    client.ok("{\"op\":\"status\"}");
+    handle.shutdown();
+    handle.join();
+}
+
 /// Over-limit mutation batches get a typed `busy` error; the connection
 /// stays usable and the backlog drains normally.
 #[test]
