@@ -21,7 +21,7 @@ use hsbp_blockmodel::Blockmodel;
 use hsbp_collections::SplitMix64;
 use hsbp_core::{run_mcmc_phase, RunStats, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
-use hsbp_serve::json::Json;
+use hsbp_serve::json::{num_u, obj, Json};
 use std::time::Instant;
 
 /// Schema version of `BENCH_mcmc.json`. Bumped on any incompatible change
@@ -334,138 +334,73 @@ pub fn run_report(mode: &str, specs: &[HotpathSpec]) -> HotpathReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
+impl VariantMeasurement {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("variant", Json::Str(self.variant.clone())),
+            ("threads", num_u(self.threads as u64)),
+            ("sweeps", num_u(self.sweeps as u64)),
+            ("elapsed_s", Json::Num(self.elapsed_s)),
+            ("sweeps_per_s", Json::Num(self.sweeps_per_s)),
+            ("proposals_per_s", Json::Num(self.proposals_per_s)),
+            ("acceptance_rate", Json::Num(self.acceptance_rate)),
+            (
+                "consolidations_incremental",
+                num_u(self.consolidations_incremental),
+            ),
+            ("consolidations_rebuild", num_u(self.consolidations_rebuild)),
+            ("consolidated_moves", num_u(self.consolidated_moves)),
+            ("parallel_efficiency", Json::Num(self.parallel_efficiency)),
+            ("pool_sections", num_u(self.pool_sections)),
+            ("pool_steals", num_u(self.pool_steals)),
+            ("pool_max_imbalance", Json::Num(self.pool_max_imbalance)),
+            ("pool_mean_imbalance", Json::Num(self.pool_mean_imbalance)),
+        ])
     }
 }
 
 impl HotpathReport {
-    /// Serialise to pretty-printed JSON (hand-rolled; the build is
-    /// dependency-free by policy).
+    /// Serialise to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"schema_version\": {BENCH_MCMC_SCHEMA_VERSION},\n"
-        ));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(&self.mode)));
-        s.push_str(&format!(
-            "  \"calibration_ops_per_s\": {},\n",
-            json_num(self.calibration_ops_per_s)
-        ));
-        s.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            self.host_parallelism
-        ));
-        s.push_str(&format!(
-            "  \"hsbp_threads_env\": {},\n",
-            self.hsbp_threads_env
-                .map_or_else(|| "null".to_string(), |t| t.to_string())
-        ));
-        s.push_str(&format!(
-            "  \"threads_swept\": [{}],\n",
-            self.threads_swept
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("  \"graphs\": [\n");
-        for (gi, g) in self.graphs.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&g.name)));
-            s.push_str(&format!("      \"vertices\": {},\n", g.vertices));
-            s.push_str(&format!("      \"edges\": {},\n", g.edges));
-            s.push_str("      \"variants\": [\n");
-            for (vi, v) in g.variants.iter().enumerate() {
-                s.push_str("        {\n");
-                s.push_str(&format!(
-                    "          \"variant\": \"{}\",\n",
-                    json_escape(&v.variant)
-                ));
-                s.push_str(&format!("          \"threads\": {},\n", v.threads));
-                s.push_str(&format!("          \"sweeps\": {},\n", v.sweeps));
-                s.push_str(&format!(
-                    "          \"elapsed_s\": {},\n",
-                    json_num(v.elapsed_s)
-                ));
-                s.push_str(&format!(
-                    "          \"sweeps_per_s\": {},\n",
-                    json_num(v.sweeps_per_s)
-                ));
-                s.push_str(&format!(
-                    "          \"proposals_per_s\": {},\n",
-                    json_num(v.proposals_per_s)
-                ));
-                s.push_str(&format!(
-                    "          \"acceptance_rate\": {},\n",
-                    json_num(v.acceptance_rate)
-                ));
-                s.push_str(&format!(
-                    "          \"consolidations_incremental\": {},\n",
-                    v.consolidations_incremental
-                ));
-                s.push_str(&format!(
-                    "          \"consolidations_rebuild\": {},\n",
-                    v.consolidations_rebuild
-                ));
-                s.push_str(&format!(
-                    "          \"consolidated_moves\": {},\n",
-                    v.consolidated_moves
-                ));
-                s.push_str(&format!(
-                    "          \"parallel_efficiency\": {},\n",
-                    json_num(v.parallel_efficiency)
-                ));
-                s.push_str(&format!(
-                    "          \"pool_sections\": {},\n",
-                    v.pool_sections
-                ));
-                s.push_str(&format!("          \"pool_steals\": {},\n", v.pool_steals));
-                s.push_str(&format!(
-                    "          \"pool_max_imbalance\": {},\n",
-                    json_num(v.pool_max_imbalance)
-                ));
-                s.push_str(&format!(
-                    "          \"pool_mean_imbalance\": {}\n",
-                    json_num(v.pool_mean_imbalance)
-                ));
-                s.push_str("        }");
-                s.push_str(if vi + 1 < g.variants.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            s.push_str("      ]\n");
-            s.push_str("    }");
-            s.push_str(if gi + 1 < self.graphs.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let graphs = self.graphs.iter().map(|g| {
+            obj(vec![
+                ("name", Json::Str(g.name.clone())),
+                ("vertices", num_u(g.vertices as u64)),
+                ("edges", num_u(g.edges)),
+                (
+                    "variants",
+                    Json::Arr(g.variants.iter().map(VariantMeasurement::to_json).collect()),
+                ),
+            ])
+        });
+        obj(vec![
+            (
+                "schema_version",
+                num_u(u64::from(BENCH_MCMC_SCHEMA_VERSION)),
+            ),
+            ("mode", Json::Str(self.mode.clone())),
+            (
+                "calibration_ops_per_s",
+                Json::Num(self.calibration_ops_per_s),
+            ),
+            ("host_parallelism", num_u(self.host_parallelism as u64)),
+            (
+                "hsbp_threads_env",
+                self.hsbp_threads_env
+                    .map_or(Json::Null, |t| num_u(t as u64)),
+            ),
+            (
+                "threads_swept",
+                Json::Arr(
+                    self.threads_swept
+                        .iter()
+                        .map(|&t| num_u(t as u64))
+                        .collect(),
+                ),
+            ),
+            ("graphs", Json::Arr(graphs.collect())),
+        ])
+        .to_pretty()
     }
 }
 

@@ -27,7 +27,7 @@
 use hsbp_collections::{fnv1a, SplitMix64};
 use hsbp_core::{HsbpError, RunBudget, SbpConfig, Variant};
 use hsbp_graph::Graph;
-use hsbp_serve::json::{parse, Json};
+use hsbp_serve::json::{num_u, obj, parse, Json};
 use hsbp_serve::{ServeConfig, Server, BENCH_SERVE_SCHEMA_VERSION, PROTOCOL_VERSION};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -233,75 +233,48 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 impl ServeReport {
-    /// Serialise to pretty-printed JSON (hand-rolled; the build is
-    /// dependency-free by policy).
+    /// Serialise to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"schema_version\": {BENCH_SERVE_SCHEMA_VERSION},\n"
-        ));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!(
-            "  \"workload_fingerprint\": \"{:016x}\",\n",
-            self.workload_fingerprint
-        ));
-        s.push_str(&format!("  \"reads\": {},\n", self.reads));
-        s.push_str(&format!(
-            "  \"read_p50_us\": {},\n",
-            json_num(self.read_p50_us)
-        ));
-        s.push_str(&format!(
-            "  \"read_p99_us\": {},\n",
-            json_num(self.read_p99_us)
-        ));
-        s.push_str(&format!("  \"mutations\": {},\n", self.mutations));
-        s.push_str(&format!(
-            "  \"mutations_per_s\": {},\n",
-            json_num(self.mutations_per_s)
-        ));
-        let flushes: Vec<String> = self.flush_ms.iter().map(|&f| json_num(f)).collect();
-        s.push_str(&format!("  \"flush_ms\": [{}],\n", flushes.join(", ")));
-        s.push_str(&format!(
-            "  \"mid_refinement_reads\": {},\n",
-            self.mid_refinement_reads
-        ));
-        s.push_str(&format!("  \"cancellations\": {},\n", self.cancellations));
-        s.push_str(&format!("  \"drift_repairs\": {},\n", self.drift_repairs));
-        s.push_str(&format!("  \"refine_errors\": {},\n", self.refine_errors));
-        s.push_str(&format!("  \"final_epoch\": {},\n", self.final_epoch));
-        s.push_str(&format!(
-            "  \"final_num_blocks\": {},\n",
-            self.final_num_blocks
-        ));
-        match &self.recovery {
-            None => s.push_str("  \"recovery\": null\n"),
-            Some(r) => {
-                s.push_str("  \"recovery\": {\n");
-                s.push_str(&format!(
-                    "    \"recovery_ms\": {},\n",
-                    json_num(r.recovery_ms)
-                ));
-                s.push_str(&format!(
-                    "    \"replayed_batches\": {},\n",
-                    r.replayed_batches
-                ));
-                s.push_str(&format!("    \"recovered_epoch\": {}\n", r.recovered_epoch));
-                s.push_str("  }\n");
-            }
-        }
-        s.push_str("}\n");
-        s
+        let recovery = self.recovery.as_ref().map_or(Json::Null, |r| {
+            obj(vec![
+                ("recovery_ms", Json::Num(r.recovery_ms)),
+                ("replayed_batches", num_u(r.replayed_batches)),
+                ("recovered_epoch", num_u(r.recovered_epoch)),
+            ])
+        });
+        obj(vec![
+            (
+                "schema_version",
+                num_u(u64::from(BENCH_SERVE_SCHEMA_VERSION)),
+            ),
+            ("mode", Json::Str(self.mode.clone())),
+            ("seed", num_u(self.seed)),
+            (
+                "workload_fingerprint",
+                Json::Str(format!("{:016x}", self.workload_fingerprint)),
+            ),
+            ("reads", num_u(self.reads as u64)),
+            ("read_p50_us", Json::Num(self.read_p50_us)),
+            ("read_p99_us", Json::Num(self.read_p99_us)),
+            ("mutations", num_u(self.mutations as u64)),
+            ("mutations_per_s", Json::Num(self.mutations_per_s)),
+            (
+                "flush_ms",
+                Json::Arr(self.flush_ms.iter().map(|&f| Json::Num(f)).collect()),
+            ),
+            (
+                "mid_refinement_reads",
+                num_u(self.mid_refinement_reads as u64),
+            ),
+            ("cancellations", num_u(self.cancellations)),
+            ("drift_repairs", num_u(self.drift_repairs)),
+            ("refine_errors", num_u(self.refine_errors)),
+            ("final_epoch", num_u(self.final_epoch)),
+            ("final_num_blocks", num_u(self.final_num_blocks)),
+            ("recovery", recovery),
+        ])
+        .to_pretty()
     }
 }
 

@@ -18,6 +18,7 @@ use hsbp_core::SbpConfig;
 use hsbp_generator::{generate, DcsbmConfig};
 use hsbp_graph::Graph;
 use hsbp_metrics::nmi;
+use hsbp_serve::json::{num_u, obj, Json};
 use hsbp_shard::{run_exact_sbp, ExactConfig, NetFaultPlan};
 
 /// Bump on any change to the JSON shape of [`ShardReport`].
@@ -290,77 +291,54 @@ pub fn run_shard_bench(spec: &ShardBenchSpec) -> Result<ShardReport, String> {
     })
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
+impl ShardRow {
+    fn to_json(&self) -> Json {
+        obj(vec![
+            ("family", Json::Str(self.family.into())),
+            ("label", Json::Str(self.label.clone())),
+            ("shards", num_u(self.shards as u64)),
+            ("sync_every", num_u(self.sync_every as u64)),
+            ("plan", Json::Str(self.plan.clone())),
+            ("rounds", num_u(self.rounds as u64)),
+            ("messages", num_u(self.messages)),
+            ("bytes", num_u(self.bytes)),
+            ("bytes_per_round", Json::Num(self.bytes_per_round)),
+            ("retransmits", num_u(self.retransmits)),
+            ("nacks", num_u(self.nacks)),
+            ("resyncs", num_u(self.resyncs)),
+            ("comm_cost", Json::Num(self.comm_cost)),
+            ("compute_cost", Json::Num(self.compute_cost)),
+            ("comm_fraction", Json::Num(self.comm_fraction)),
+            ("mdl", Json::Num(self.mdl)),
+            ("num_blocks", num_u(self.num_blocks as u64)),
+            ("nmi_vs_clean", Json::Num(self.nmi_vs_clean)),
+            ("dead_shards", num_u(self.dead_shards as u64)),
+        ])
     }
 }
 
 impl ShardReport {
-    /// Serialise to pretty-printed JSON (hand-rolled; the build is
-    /// dependency-free by policy).
+    /// Serialise to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"schema_version\": {BENCH_SHARD_SCHEMA_VERSION},\n"
-        ));
-        s.push_str(&format!(
-            "  \"sync_protocol_version\": {},\n",
-            hsbp_shard::SYNC_PROTOCOL_VERSION
-        ));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"vertices\": {},\n", self.vertices));
-        s.push_str(&format!("  \"edges\": {},\n", self.edges));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"family\": \"{}\",\n", r.family));
-            s.push_str(&format!("      \"label\": \"{}\",\n", r.label));
-            s.push_str(&format!("      \"shards\": {},\n", r.shards));
-            s.push_str(&format!("      \"sync_every\": {},\n", r.sync_every));
-            s.push_str(&format!("      \"plan\": \"{}\",\n", r.plan));
-            s.push_str(&format!("      \"rounds\": {},\n", r.rounds));
-            s.push_str(&format!("      \"messages\": {},\n", r.messages));
-            s.push_str(&format!("      \"bytes\": {},\n", r.bytes));
-            s.push_str(&format!(
-                "      \"bytes_per_round\": {},\n",
-                json_num(r.bytes_per_round)
-            ));
-            s.push_str(&format!("      \"retransmits\": {},\n", r.retransmits));
-            s.push_str(&format!("      \"nacks\": {},\n", r.nacks));
-            s.push_str(&format!("      \"resyncs\": {},\n", r.resyncs));
-            s.push_str(&format!(
-                "      \"comm_cost\": {},\n",
-                json_num(r.comm_cost)
-            ));
-            s.push_str(&format!(
-                "      \"compute_cost\": {},\n",
-                json_num(r.compute_cost)
-            ));
-            s.push_str(&format!(
-                "      \"comm_fraction\": {},\n",
-                json_num(r.comm_fraction)
-            ));
-            s.push_str(&format!("      \"mdl\": {},\n", json_num(r.mdl)));
-            s.push_str(&format!("      \"num_blocks\": {},\n", r.num_blocks));
-            s.push_str(&format!(
-                "      \"nmi_vs_clean\": {},\n",
-                json_num(r.nmi_vs_clean)
-            ));
-            s.push_str(&format!("      \"dead_shards\": {}\n", r.dead_shards));
-            s.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        obj(vec![
+            (
+                "schema_version",
+                num_u(u64::from(BENCH_SHARD_SCHEMA_VERSION)),
+            ),
+            (
+                "sync_protocol_version",
+                num_u(u64::from(hsbp_shard::SYNC_PROTOCOL_VERSION)),
+            ),
+            ("mode", Json::Str(self.mode.clone())),
+            ("vertices", num_u(u64::from(self.vertices))),
+            ("edges", num_u(self.edges as u64)),
+            ("seed", num_u(self.seed)),
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(ShardRow::to_json).collect()),
+            ),
+        ])
+        .to_pretty()
     }
 }
 
@@ -368,6 +346,7 @@ impl ShardReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use hsbp_serve::json::parse;
 
     #[test]
     fn fault_plans_parse() {
@@ -405,16 +384,16 @@ mod tests {
                 dead_shards: 0,
             }],
         };
-        let json = report.to_json();
-        assert!(json.contains(&format!("\"schema_version\": {BENCH_SHARD_SCHEMA_VERSION}")));
-        assert!(json.contains("\"bytes_per_round\": 400.0"));
-        assert!(json.contains("\"nmi_vs_clean\": 1.0"));
-        // Balanced braces / brackets — cheap structural sanity without a parser.
+        let parsed = parse(&report.to_json()).unwrap();
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON"
+            parsed.get("schema_version").and_then(Json::as_u64),
+            Some(u64::from(BENCH_SHARD_SCHEMA_VERSION))
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let row = &parsed.get("rows").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(
+            row.get("bytes_per_round").and_then(Json::as_f64),
+            Some(400.0)
+        );
+        assert_eq!(row.get("nmi_vs_clean").and_then(Json::as_f64), Some(1.0));
     }
 }
