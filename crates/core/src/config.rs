@@ -197,6 +197,26 @@ impl SbpConfig {
     }
 }
 
+/// Split a comma-separated fault-plan spec into `(directive, kind, arg)`
+/// triples: parts are trimmed, empty parts skipped, and each part is cut
+/// at its first `:`. A part without one is an error naming `shape`, the
+/// form the grammar expects. The shard, network and serve fault-plan
+/// grammars share this step and parse their own arguments.
+pub fn fault_directives<'a>(
+    spec: &'a str,
+    shape: &'a str,
+) -> impl Iterator<Item = Result<(&'a str, &'a str, &'a str), String>> + 'a {
+    spec.split(',')
+        .map(str::trim)
+        .filter(|directive| !directive.is_empty())
+        .map(move |directive| {
+            let (kind, arg) = directive
+                .split_once(':')
+                .ok_or_else(|| format!("`{directive}`: expected {shape}"))?;
+            Ok((directive, kind, arg))
+        })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {

@@ -50,7 +50,7 @@ pub mod refine;
 pub mod stats;
 
 pub use budget::{CancelToken, RunBudget, RunControl, StopCause};
-pub use config::{Consolidation, SbpConfig, Variant};
+pub use config::{fault_directives, Consolidation, SbpConfig, Variant};
 pub use driver::{golden_section_search, run_sbp, run_sbp_budgeted, run_sbp_checked, SbpResult};
 pub use error::{write_atomic, HsbpError};
 pub use influence::{asbp_convergence_risk, degree_concentration, degree_gini, AsbpRisk};

@@ -24,6 +24,7 @@
 //! the clean-shutdown snapshot, exactly the state a hard kill leaves on
 //! disk.
 
+use hsbp_core::fault_directives;
 use std::fmt;
 
 /// One parsed serve fault plan. The empty plan injects nothing.
@@ -54,14 +55,8 @@ impl ServeFaultPlan {
     /// and malformed numbers are rejected.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = Self::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (action, value) = part
-                .split_once(':')
-                .ok_or_else(|| format!("`{part}`: expected `action:value`"))?;
+        for directive in fault_directives(spec, "`action:value`") {
+            let (part, action, value) = directive?;
             let parse_u64 = |text: &str, what: &str| -> Result<u64, String> {
                 text.trim()
                     .parse()

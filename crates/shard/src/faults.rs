@@ -20,7 +20,7 @@
 //! e.g. `panic:0@1,panic:3@1` fails shards 0 and 3 on their first attempt
 //! only (both recover via retry), while `panic:2@*` kills shard 2 for good.
 
-use hsbp_core::SbpResult;
+use hsbp_core::{fault_directives, SbpResult};
 
 /// What a single injected fault does to one shard attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,14 +130,8 @@ impl FaultPlan {
     /// directives is ignored; an empty string is the empty plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::none();
-        for raw in spec.split(',') {
-            let directive = raw.trim();
-            if directive.is_empty() {
-                continue;
-            }
-            let (kind_name, rest) = directive
-                .split_once(':')
-                .ok_or_else(|| format!("`{directive}`: expected KIND:SHARD@ATTEMPT"))?;
+        for directive in fault_directives(spec, "KIND:SHARD@ATTEMPT") {
+            let (directive, kind_name, rest) = directive?;
             let (shard_text, attempt_text) = rest
                 .split_once('@')
                 .ok_or_else(|| format!("`{directive}`: expected SHARD@ATTEMPT after the kind"))?;
