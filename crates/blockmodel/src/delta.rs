@@ -320,6 +320,34 @@ fn d_total_of(deg: &AffectedDegrees, bm: &Blockmodel, t: Block, from: Block, to:
     }
 }
 
+/// Apply `(v, to)` moves in order through [`Blockmodel::apply_move`], each
+/// against the model's evolving assignment, skipping moves that would not
+/// change a label. Every step re-gathers `v`'s neighbour census, so each
+/// update is exact in integers: replaying a membership diff lands on the
+/// same bytes as a rebuild from the target membership. This is the one
+/// move replay behind incremental consolidation and replica sync.
+pub fn replay_moves(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    moves: impl IntoIterator<Item = (Vertex, Block)>,
+    arena: &mut ProposalArena,
+) {
+    for (v, to) in moves {
+        let from = bm.block_of(v);
+        if from == to {
+            continue;
+        }
+        NeighborCounts::gather_into(
+            graph,
+            bm.assignment(),
+            v,
+            &mut arena.scratch,
+            &mut arena.counts,
+        );
+        bm.apply_move(v, from, to, &arena.counts);
+    }
+}
+
 /// Evaluate a proposed move `v: from → to`, allocating fresh scratch.
 ///
 /// Compatibility wrapper around [`evaluate_move_with`]; hot loops should

@@ -37,11 +37,11 @@ pub mod propose;
 pub use audit::{audit_blockmodel, repair_blockmodel, DriftReport};
 pub use delta::{
     delta_mdl_merge, delta_mdl_merge_with, delta_mdl_move, evaluate_move, evaluate_move_with,
-    EvalScratch, MoveEval, MoveScratch, NeighborCounts, ProposalArena, ProposalBatch,
+    replay_moves, EvalScratch, MoveEval, MoveScratch, NeighborCounts, ProposalArena, ProposalBatch,
 };
 pub use mdl::{dcsbm_entropy_term, log_likelihood_term, Mdl};
 pub use model::{Block, Blockmodel};
 pub use propose::{
-    accept_move, hastings_correction, propose_block, propose_block_frozen, propose_merge_target,
-    propose_merge_target_frozen, BlockNeighborSampler,
+    accept_move, hastings_correction, mh_step, propose_block, propose_block_frozen,
+    propose_merge_target, propose_merge_target_frozen, BlockNeighborSampler,
 };

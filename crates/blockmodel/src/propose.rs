@@ -15,7 +15,7 @@
 //! vertex's neighbourhood, which is what makes SBP converge in a reasonable
 //! number of sweeps.
 
-use crate::delta::{MoveEval, NeighborCounts};
+use crate::delta::{evaluate_move_with, MoveEval, NeighborCounts, ProposalArena};
 use crate::model::{Block, Blockmodel};
 use hsbp_collections::{AliasTable, SplitMix64};
 use hsbp_graph::{Graph, Vertex};
@@ -231,6 +231,41 @@ pub fn accept_move(eval: &MoveEval, beta: f64, rng: &mut SplitMix64) -> bool {
     let exponent = (-beta * eval.delta_mdl).clamp(-700.0, 700.0);
     let p = exponent.exp() * eval.hastings;
     p >= 1.0 || rng.next_f64() < p
+}
+
+/// One Metropolis-Hastings step for vertex `v` against `bm`'s own, fresh
+/// assignment — the loop body of Algorithm 2 and of every serial pass
+/// (SBP, H-SBP's `V*`, EA-SBP workers, exact-mode shards, refinement):
+/// propose a block, gather the neighbour census, evaluate ΔMDL and the
+/// Hastings factor, run the acceptance test and apply the move in place.
+/// Returns the target block when the move was applied. Allocation-free
+/// once `arena` has warmed up.
+pub fn mh_step(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    v: Vertex,
+    beta: f64,
+    rng: &mut SplitMix64,
+    arena: &mut ProposalArena,
+) -> Option<Block> {
+    let from = bm.block_of(v);
+    let to = propose_block(graph, bm, bm.assignment(), v, rng);
+    if to == from {
+        return None;
+    }
+    NeighborCounts::gather_into(
+        graph,
+        bm.assignment(),
+        v,
+        &mut arena.scratch,
+        &mut arena.counts,
+    );
+    let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
+    if !accept_move(&eval, beta, rng) {
+        return None;
+    }
+    bm.apply_move(v, from, to, &arena.counts);
+    Some(to)
 }
 
 /// Degree of "exploration" in the proposal: probability that a proposal for

@@ -19,7 +19,7 @@
 use crate::config::{Consolidation, SbpConfig};
 use crate::error::HsbpError;
 use crate::stats::RunStats;
-use hsbp_blockmodel::{Block, Blockmodel, NeighborCounts, ProposalArena};
+use hsbp_blockmodel::{replay_moves, Block, Blockmodel, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
 
 /// Replace `bm`'s state with the blockmodel implied by `new_assignment`,
@@ -27,7 +27,10 @@ use hsbp_graph::{Graph, Vertex};
 /// `cfg.consolidation`. Charges the simulated-time account and the
 /// consolidation counters on `stats`; `total_sweep` labels a
 /// [`HsbpError::StateDrift`] raised by the Verify mode.
-pub(crate) fn consolidate_sweep(
+///
+/// The one consolidation policy: the in-process parallel variants and the
+/// exact distributed mode's coordinator all call it.
+pub fn consolidate_sweep(
     graph: &Graph,
     bm: &mut Blockmodel,
     new_assignment: Vec<Block>,
@@ -55,72 +58,47 @@ pub(crate) fn consolidate_sweep(
         return Ok(());
     }
 
-    if cfg.consolidation == Consolidation::Verify {
-        let mut rebuilt = bm.clone();
-        rebuilt.rebuild(graph, new_assignment.clone());
-        apply_incremental(graph, bm, &new_assignment, arena);
-        if *bm != rebuilt {
-            return Err(HsbpError::StateDrift {
-                sweep: total_sweep,
-                detail: format!(
-                    "incremental consolidation diverged from rebuild after {moves} moves"
-                ),
-            });
-        }
-        stats.consolidated_moves += moves as u64;
-        stats.consolidations_incremental += 1;
-        stats.consolidations_rebuild += 1;
-        stats.sim_mcmc.add_serial(incremental_cost);
-        charge_rebuild(cfg, graph, stats);
-        return Ok(());
-    }
-
+    // Verify replays incrementally and checks the bytes against a rebuild.
+    let verify = cfg.consolidation == Consolidation::Verify;
     let incremental = match cfg.consolidation {
-        Consolidation::ForceIncremental => true,
+        Consolidation::ForceIncremental | Consolidation::Verify => true,
         Consolidation::ForceRebuild => false,
-        Consolidation::Auto | Consolidation::Verify => cfg
+        Consolidation::Auto => cfg
             .cost_model
             .prefer_incremental_consolidation(incremental_cost, graph.num_edges()),
     };
-    if incremental {
-        apply_incremental(graph, bm, &new_assignment, arena);
-        stats.consolidated_moves += moves as u64;
-        stats.consolidations_incremental += 1;
-        stats.sim_mcmc.add_serial(incremental_cost);
-    } else {
+    if !incremental {
         bm.rebuild(graph, new_assignment);
+        stats.consolidations_rebuild += 1;
+        charge_rebuild(cfg, graph, stats);
+        return Ok(());
+    }
+    let rebuilt = verify.then(|| {
+        let mut rebuilt = bm.clone();
+        rebuilt.rebuild(graph, new_assignment.clone());
+        rebuilt
+    });
+    // Ascending by vertex id; the final state is a pure function of
+    // `new_assignment` and equals a rebuild from it byte for byte.
+    let diff = new_assignment
+        .iter()
+        .enumerate()
+        .map(|(v, &to)| (v as Vertex, to));
+    replay_moves(graph, bm, diff, arena);
+    if rebuilt.is_some_and(|rebuilt| *bm != rebuilt) {
+        return Err(HsbpError::StateDrift {
+            sweep: total_sweep,
+            detail: format!("incremental consolidation diverged from rebuild after {moves} moves"),
+        });
+    }
+    stats.consolidated_moves += moves as u64;
+    stats.consolidations_incremental += 1;
+    stats.sim_mcmc.add_serial(incremental_cost);
+    if verify {
         stats.consolidations_rebuild += 1;
         charge_rebuild(cfg, graph, stats);
     }
     Ok(())
-}
-
-/// Replay every `current != target` vertex through `apply_move`, ascending
-/// by vertex id. Each step re-gathers the neighbour census against the
-/// *evolving* assignment, so every individual move is exact; the final
-/// state is a pure function of `target` (order-independent) and equals
-/// `rebuild(graph, target)` byte for byte.
-fn apply_incremental(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    target: &[Block],
-    arena: &mut ProposalArena,
-) {
-    for (v, &to) in target.iter().enumerate() {
-        let v = v as Vertex;
-        let from = bm.block_of(v);
-        if from == to {
-            continue;
-        }
-        NeighborCounts::gather_into(
-            graph,
-            bm.assignment(),
-            v,
-            &mut arena.scratch,
-            &mut arena.counts,
-        );
-        bm.apply_move(v, from, to, &arena.counts);
-    }
 }
 
 /// Simulated-time charge for the rebuild path (parallelisable up to the

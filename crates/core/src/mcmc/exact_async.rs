@@ -24,16 +24,12 @@
 //! quantify that trade-off against the paper's snapshot-based A-SBP.
 
 use super::consolidate::consolidate_sweep;
-use super::{PhaseWorkspace, SweepCounters};
-use crate::budget::{RunControl, VERTEX_CHECK_STRIDE};
+use super::{mh_pass, PhaseWorkspace, SweepCounters};
+use crate::budget::RunControl;
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::RunStats;
-use hsbp_blockmodel::{
-    evaluate_move_with, propose::accept_move, propose_block, Block, Blockmodel, NeighborCounts,
-    ProposalArena,
-};
-use hsbp_collections::SplitMix64;
+use hsbp_blockmodel::{replay_moves, Block, Blockmodel, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
 use hsbp_parallel::{with_resident, ThreadPool};
 
@@ -90,37 +86,23 @@ pub(crate) fn sweep(
             let start = (w * shard_len).min(n);
             let end = ((w + 1) * shard_len).min(n);
             with_resident(ProposalArena::default, |arena| {
+                // Each worker bails with a consistent local replica on an
+                // interrupt; the consolidation below still runs on the
+                // partial moves.
                 let mut moves: Vec<(Vertex, Block)> = Vec::new();
-                for v in start..end {
-                    // Coarse per-worker cancellation checkpoint; each worker
-                    // bails with a consistent local replica, and the global
-                    // consolidation below still runs on the partial moves.
-                    if ((v - start) as u64).is_multiple_of(VERTEX_CHECK_STRIDE)
-                        && v > start
-                        && ctrl.interrupt_cause().is_some()
-                    {
-                        break;
-                    }
-                    let v = v as Vertex;
-                    let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-                    let from = local.block_of(v);
-                    let to = propose_block(graph, &local, local.assignment(), v, &mut rng);
-                    if to == from {
-                        continue;
-                    }
-                    NeighborCounts::gather_into(
-                        graph,
-                        local.assignment(),
-                        v,
-                        &mut arena.scratch,
-                        &mut arena.counts,
-                    );
-                    let eval = evaluate_move_with(&local, from, to, &arena.counts, &mut arena.eval);
-                    if accept_move(&eval, cfg.beta, &mut rng) {
-                        local.apply_move(v, from, to, &arena.counts);
-                        moves.push((v, to));
-                    }
-                }
+                let shard = start as Vertex..end as Vertex;
+                let sweep = sweep_idx..sweep_idx + 1;
+                mh_pass(
+                    graph,
+                    &mut local,
+                    shard,
+                    sweep,
+                    cfg.beta,
+                    salt,
+                    ctrl,
+                    arena,
+                    |v, to| moves.extend(to.map(|to| (v, to))),
+                );
                 (w, local, moves)
             })
         },
@@ -182,23 +164,8 @@ pub(crate) fn sweep(
             || (),
             |(), (w, mut local, _)| {
                 with_resident(ProposalArena::default, |arena| {
-                    for &(owner, v, to) in all_moves.iter() {
-                        if owner == w {
-                            continue;
-                        }
-                        let from = local.block_of(v);
-                        if from == to {
-                            continue;
-                        }
-                        NeighborCounts::gather_into(
-                            graph,
-                            local.assignment(),
-                            v,
-                            &mut arena.scratch,
-                            &mut arena.counts,
-                        );
-                        local.apply_move(v, from, to, &arena.counts);
-                    }
+                    let foreign = all_moves.iter().filter(|m| m.0 != w);
+                    replay_moves(graph, &mut local, foreign.map(|&(_, v, to)| (v, to)), arena);
                     (w, local)
                 })
             },

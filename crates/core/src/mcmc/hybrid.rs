@@ -10,16 +10,12 @@
 
 use super::async_gibbs::evaluate_chunk;
 use super::consolidate::consolidate_sweep;
-use super::{PhaseWorkspace, SweepCounters};
-use crate::budget::{RunControl, VERTEX_CHECK_STRIDE};
+use super::{metropolis, PhaseWorkspace, SweepCounters};
+use crate::budget::RunControl;
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::RunStats;
-use hsbp_blockmodel::{
-    evaluate_move_with, propose::accept_move, propose_block, Block, BlockNeighborSampler,
-    Blockmodel, NeighborCounts, ProposalArena,
-};
-use hsbp_collections::SplitMix64;
+use hsbp_blockmodel::{Block, BlockNeighborSampler, Blockmodel, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
 use hsbp_parallel::{ChunkPlan, ThreadPool};
 
@@ -40,46 +36,19 @@ pub(crate) fn sweep(
     ws: &mut PhaseWorkspace,
 ) -> Result<SweepCounters, HsbpError> {
     let sweep_no = stats.mcmc_sweeps + 1;
-    let mut counters = SweepCounters::default();
-
     // Serial Metropolis-Hastings pass over the influential set V*.
-    let mut serial_cost = 0.0;
-    {
-        let arena = &mut ws.arena;
-        for (i, &v) in order[..vstar_len].iter().enumerate() {
-            // Coarse cancellation checkpoint (see metropolis::sweep); the
-            // interrupted state is a consistent prefix of the serial pass.
-            if (i as u64).is_multiple_of(VERTEX_CHECK_STRIDE)
-                && i > 0
-                && ctrl.interrupt_cause().is_some()
-            {
-                break;
-            }
-            let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-            let from = bm.block_of(v);
-            let to = propose_block(graph, bm, bm.assignment(), v, &mut rng);
-            counters.proposals += 1;
-            let incident = graph.incident_arity(v);
-            serial_cost += cfg.cost_model.proposal_cost(incident);
-            if to == from {
-                continue;
-            }
-            NeighborCounts::gather_into(
-                graph,
-                bm.assignment(),
-                v,
-                &mut arena.scratch,
-                &mut arena.counts,
-            );
-            let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
-            if accept_move(&eval, cfg.beta, &mut rng) {
-                bm.apply_move(v, from, to, &arena.counts);
-                serial_cost += cfg.cost_model.update_cost(incident);
-                counters.accepted += 1;
-            }
-        }
-    }
-    stats.sim_mcmc.add_serial(serial_cost);
+    let vstar = order[..vstar_len].iter().copied();
+    let mut counters = metropolis::sweep(
+        graph,
+        bm,
+        vstar,
+        cfg,
+        salt,
+        sweep_idx,
+        stats,
+        ctrl,
+        &mut ws.arena,
+    );
 
     // Asynchronous-Gibbs pass over the tail V⁻ (frozen model + snapshot).
     // Skipped entirely when an interrupt is already pending — the model is

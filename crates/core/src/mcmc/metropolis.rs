@@ -2,61 +2,95 @@
 //! baseline. Each accepted move updates the blockmodel immediately, so
 //! every later proposal in the same sweep sees fully fresh state; that is
 //! exactly the dependency chain that makes this phase inherently serial.
+//!
+//! [`mh_pass`] is that serial loop, once, for every in-place sweep: SBP,
+//! H-SBP's influential set, EA-SBP's workers, the exact distributed
+//! mode's shards and the serve refinement.
 
 use super::SweepCounters;
 use crate::budget::{RunControl, VERTEX_CHECK_STRIDE};
 use crate::config::SbpConfig;
-use crate::error::HsbpError;
 use crate::stats::RunStats;
-use hsbp_blockmodel::{
-    evaluate_move_with, propose::accept_move, propose_block, Blockmodel, NeighborCounts,
-    ProposalArena,
-};
+use hsbp_blockmodel::{mh_step, Block, Blockmodel, ProposalArena};
 use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, Vertex};
+use std::ops::Range;
 
+/// Serial MH over `vertices` once per sweep index in `sweeps`: one
+/// [`mh_step`] per vertex, each drawing from
+/// `SplitMix64::for_item(salt, sweep, v)`. `visit` receives every vertex's
+/// outcome in visit order (the target block when the move was applied).
+///
+/// The control is checked before every `VERTEX_CHECK_STRIDE`-th visit of
+/// the pass (by position, never before the first). Returns false when it
+/// interrupted the pass; the model is then a consistent prefix of the
+/// pass, because every move is applied immediately.
+#[allow(clippy::too_many_arguments)]
+pub fn mh_pass(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    vertices: impl Iterator<Item = Vertex> + Clone,
+    sweeps: Range<u64>,
+    beta: f64,
+    salt: u64,
+    ctrl: &RunControl,
+    arena: &mut ProposalArena,
+    mut visit: impl FnMut(Vertex, Option<Block>),
+) -> bool {
+    let mut position: u64 = 0;
+    for sweep in sweeps {
+        for v in vertices.clone() {
+            if position > 0
+                && position.is_multiple_of(VERTEX_CHECK_STRIDE)
+                && ctrl.interrupt_cause().is_some()
+            {
+                return false;
+            }
+            position += 1;
+            let mut rng = SplitMix64::for_item(salt, sweep, u64::from(v));
+            visit(v, mh_step(graph, bm, v, beta, &mut rng, arena));
+        }
+    }
+    true
+}
+
+/// One serial sweep over `vertices` (all of them for SBP, the influential
+/// set for H-SBP), charging each proposal and each applied move to the
+/// simulated serial account in visit order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
     graph: &Graph,
     bm: &mut Blockmodel,
+    vertices: impl Iterator<Item = Vertex> + Clone,
     cfg: &SbpConfig,
     salt: u64,
     sweep_idx: u64,
     stats: &mut RunStats,
     ctrl: &RunControl,
     arena: &mut ProposalArena,
-) -> Result<SweepCounters, HsbpError> {
+) -> SweepCounters {
     let mut counters = SweepCounters::default();
     let mut serial_cost = 0.0;
-    for v in 0..graph.num_vertices() as Vertex {
-        // Coarse cancellation checkpoint; every state it leaves behind is a
-        // consistent prefix of the sweep (moves apply immediately).
-        if u64::from(v) % VERTEX_CHECK_STRIDE == 0 && v > 0 && ctrl.interrupt_cause().is_some() {
-            break;
-        }
-        let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-        let from = bm.block_of(v);
-        let to = propose_block(graph, bm, bm.assignment(), v, &mut rng);
-        counters.proposals += 1;
-        let incident = graph.incident_arity(v);
-        serial_cost += cfg.cost_model.proposal_cost(incident);
-        if to == from {
-            continue;
-        }
-        NeighborCounts::gather_into(
-            graph,
-            bm.assignment(),
-            v,
-            &mut arena.scratch,
-            &mut arena.counts,
-        );
-        let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
-        if accept_move(&eval, cfg.beta, &mut rng) {
-            bm.apply_move(v, from, to, &arena.counts);
-            serial_cost += cfg.cost_model.update_cost(incident);
-            counters.accepted += 1;
-        }
-    }
+    let sweeps = sweep_idx..sweep_idx + 1;
+    mh_pass(
+        graph,
+        bm,
+        vertices,
+        sweeps,
+        cfg.beta,
+        salt,
+        ctrl,
+        arena,
+        |v, moved| {
+            let incident = graph.incident_arity(v);
+            counters.proposals += 1;
+            serial_cost += cfg.cost_model.proposal_cost(incident);
+            if moved.is_some() {
+                serial_cost += cfg.cost_model.update_cost(incident);
+                counters.accepted += 1;
+            }
+        },
+    );
     stats.sim_mcmc.add_serial(serial_cost);
-    Ok(counters)
+    counters
 }

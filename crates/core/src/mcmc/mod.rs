@@ -21,6 +21,9 @@ use hsbp_graph::{stats::vertices_by_degree_desc, Graph, Vertex};
 use hsbp_parallel::{ChunkPlan, ThreadPool};
 use std::collections::VecDeque;
 
+pub use consolidate::consolidate_sweep;
+pub use metropolis::mh_pass;
+
 /// Counters returned by one round of sweeps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepCounters {
@@ -211,9 +214,17 @@ impl PhaseExecutor for VariantSweeps<'_> {
         let (cfg, exec, ws) = (self.cfg, self.pool, &mut self.ws);
         let costs = &self.parallel_costs;
         match cfg.variant {
-            Variant::Metropolis => {
-                metropolis::sweep(graph, bm, cfg, salt, sweep, stats, ctrl, &mut ws.arena)
-            }
+            Variant::Metropolis => Ok(metropolis::sweep(
+                graph,
+                bm,
+                0..graph.num_vertices() as Vertex,
+                cfg,
+                salt,
+                sweep,
+                stats,
+                ctrl,
+                &mut ws.arena,
+            )),
             Variant::AsyncGibbs if stale => {
                 // Evaluate against the oldest retained model (at most
                 // `staleness` sweeps old), then retire it.

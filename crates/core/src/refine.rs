@@ -19,16 +19,13 @@
 //! arXiv 2305.18663, and SamBaS's partial-refinement argument,
 //! arXiv 2108.06651).
 
-use crate::budget::{CancelToken, RunBudget, RunControl, StopCause, VERTEX_CHECK_STRIDE};
+use crate::budget::{CancelToken, RunBudget, RunControl, StopCause};
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
+use crate::mcmc::mh_pass;
 use crate::stats::{DriftEvent, RunStats};
-use hsbp_blockmodel::{
-    audit_blockmodel, evaluate_move_with, mdl, propose::accept_move, propose_block,
-    repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
-};
+use hsbp_blockmodel::{audit_blockmodel, mdl, repair_blockmodel, Block, Blockmodel, ProposalArena};
 use hsbp_collections::sample::mix_words;
-use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, Vertex, Weight};
 
 /// Result of one incremental refinement round.
@@ -129,51 +126,6 @@ pub fn expand_dirty_region(graph: &Graph, dirty: &[Vertex]) -> Vec<Vertex> {
     (0..n as Vertex)
         .filter(|&v| in_region[v as usize])
         .collect()
-}
-
-/// One serial MH sweep restricted to `region` (immediate `apply_move`
-/// updates, identical kernel to the full Metropolis sweep). Returns false
-/// when the control interrupted the sweep part-way.
-#[allow(clippy::too_many_arguments)]
-fn sweep_region(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    region: &[Vertex],
-    cfg: &SbpConfig,
-    salt: u64,
-    sweep_idx: u64,
-    stats: &mut RunStats,
-    ctrl: &RunControl,
-    arena: &mut ProposalArena,
-) -> bool {
-    for (i, &v) in region.iter().enumerate() {
-        if (i as u64).is_multiple_of(VERTEX_CHECK_STRIDE)
-            && i > 0
-            && ctrl.interrupt_cause().is_some()
-        {
-            return false;
-        }
-        let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-        let from = bm.block_of(v);
-        let to = propose_block(graph, bm, bm.assignment(), v, &mut rng);
-        stats.proposals += 1;
-        if to == from {
-            continue;
-        }
-        NeighborCounts::gather_into(
-            graph,
-            bm.assignment(),
-            v,
-            &mut arena.scratch,
-            &mut arena.counts,
-        );
-        let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
-        if accept_move(&eval, cfg.beta, &mut rng) {
-            bm.apply_move(v, from, to, &arena.counts);
-            stats.accepted += 1;
-        }
-    }
-    true
 }
 
 /// Compact a label space in place: occupied blocks keep their relative
@@ -278,16 +230,22 @@ pub fn refine_partition(
             truncated = true;
             break;
         }
-        let completed = sweep_region(
+        // One serial MH sweep restricted to the region.
+        let vertices = region.iter().copied();
+        let sweep = sweeps as u64..sweeps as u64 + 1;
+        let completed = mh_pass(
             graph,
             &mut bm,
-            &region,
-            cfg,
+            vertices,
+            sweep,
+            cfg.beta,
             salt,
-            sweeps as u64,
-            &mut stats,
             &ctrl,
             &mut arena,
+            |_, moved| {
+                stats.proposals += 1;
+                stats.accepted += u64::from(moved.is_some());
+            },
         );
         if !completed {
             stats.stop_cause = ctrl.interrupt_cause().unwrap_or(StopCause::Cancelled);

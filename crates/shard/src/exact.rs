@@ -52,15 +52,11 @@ use crate::channel::{
     PeerTracker, SyncPayload, HEADER_LEN,
 };
 use crate::stitch::reassign_dropped;
-use hsbp_blockmodel::{
-    evaluate_move_with, propose::accept_move, propose_block, Block, Blockmodel, NeighborCounts,
-    ProposalArena,
-};
+use hsbp_blockmodel::{replay_moves, Block, Blockmodel, ProposalArena};
 use hsbp_collections::sample::mix_words;
-use hsbp_collections::SplitMix64;
 use hsbp_core::{
-    golden_section_search, CancelToken, HsbpError, PhaseExecutor, RunBudget, RunControl, RunStats,
-    SbpConfig, SbpResult, SweepCounters,
+    consolidate_sweep, golden_section_search, mh_pass, CancelToken, HsbpError, PhaseExecutor,
+    RunBudget, RunControl, RunStats, SbpConfig, SbpResult, SweepCounters,
 };
 use hsbp_graph::{Graph, Vertex};
 use hsbp_parallel::{pool_for, with_resident, ThreadPool};
@@ -344,7 +340,7 @@ impl PhaseExecutor for Cluster<'_> {
         sweep_base: u64,
         batch: usize,
         stats: &mut RunStats,
-        _ctrl: &RunControl,
+        ctrl: &RunControl,
     ) -> Result<SweepCounters, HsbpError> {
         let cfg = &self.cfg.sbp;
         let round = self.round;
@@ -362,9 +358,11 @@ impl PhaseExecutor for Cluster<'_> {
             .filter(|&s| !self.net.plan().is_silent(s, round))
             .collect();
 
-        // 1. Local sweeps: serial MH over the owned vertices against the
-        // shard's own replica, immediate local updates, moves recorded in
-        // application order (the EA-SBP worker loop, verbatim).
+        // 1. Local sweeps: the EA-SBP worker's serial pass over the owned
+        // vertices against the shard's own replica, immediate local
+        // updates, moves recorded in application order. An interrupt stops
+        // a shard part-way; the round still consolidates and syncs the
+        // partial moves, and the phase loop then discards the round.
         type ShardMoves = (usize, Blockmodel, Vec<(Vertex, Block)>);
         let locals: Vec<(usize, Blockmodel)> = senders
             .iter()
@@ -378,41 +376,25 @@ impl PhaseExecutor for Cluster<'_> {
             })
             .collect();
         let owned = &self.owned;
+        let sweeps = sweep_base..sweep_base + batch as u64;
         let results: Vec<ShardMoves> = self.pool.map_vec(
             locals,
             || (),
             |(), (s, mut local)| {
                 with_resident(ProposalArena::default, |arena| {
                     let mut moves: Vec<(Vertex, Block)> = Vec::new();
-                    for step in 0..batch {
-                        let sweep_idx = sweep_base + step as u64;
-                        for &v in &owned[s] {
-                            let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-                            let from = local.block_of(v);
-                            let to = propose_block(graph, &local, local.assignment(), v, &mut rng);
-                            if to == from {
-                                continue;
-                            }
-                            NeighborCounts::gather_into(
-                                graph,
-                                local.assignment(),
-                                v,
-                                &mut arena.scratch,
-                                &mut arena.counts,
-                            );
-                            let eval = evaluate_move_with(
-                                &local,
-                                from,
-                                to,
-                                &arena.counts,
-                                &mut arena.eval,
-                            );
-                            if accept_move(&eval, cfg.beta, &mut rng) {
-                                local.apply_move(v, from, to, &arena.counts);
-                                moves.push((v, to));
-                            }
-                        }
-                    }
+                    let vertices = owned[s].iter().copied();
+                    mh_pass(
+                        graph,
+                        &mut local,
+                        vertices,
+                        sweeps.clone(),
+                        cfg.beta,
+                        salt,
+                        ctrl,
+                        arena,
+                        |v, to| moves.extend(to.map(|to| (v, to))),
+                    );
                     (s, local, moves)
                 })
             },
@@ -427,17 +409,14 @@ impl PhaseExecutor for Cluster<'_> {
             stats.sim_mcmc.add_parallel(&costs);
         }
 
-        // 2. Consolidate the coordinator from the merged membership — the
-        // same procedure as core's `consolidate_sweep` (Auto mode): count
-        // the net membership diff, shortcut the no-move round, and pick
-        // incremental replay vs rebuild by the cost-model crossover.
+        // 2. Consolidate the coordinator from the merged membership under
+        // `cfg.consolidation`, exactly as in-process EA-SBP does.
         let mut moves_of: Vec<Option<Vec<(Vertex, Block)>>> = vec![None; self.num_shards()];
-        let mut replicas_back: Vec<(usize, Blockmodel)> = Vec::with_capacity(results.len());
         let mut total_moves = 0usize;
         for (s, local, moves) in results {
             total_moves += moves.len();
             moves_of[s] = Some(moves);
-            replicas_back.push((s, local));
+            self.replicas[s] = Some(local);
         }
         let mut new_assignment = coordinator.assignment_snapshot();
         for moves in moves_of.iter().flatten() {
@@ -445,38 +424,15 @@ impl PhaseExecutor for Cluster<'_> {
                 new_assignment[v as usize] = to;
             }
         }
-        let current = coordinator.assignment();
-        let mut net_moves = 0usize;
-        let mut incremental_cost = 0.0;
-        for v in 0..graph.num_vertices() {
-            if current[v] != new_assignment[v] {
-                net_moves += 1;
-                incremental_cost += cfg
-                    .cost_model
-                    .consolidation_move_cost(graph.incident_arity(v as Vertex));
-            }
-        }
-        if net_moves == 0 {
-            stats.consolidations_incremental += 1;
-        } else if cfg
-            .cost_model
-            .prefer_incremental_consolidation(incremental_cost, graph.num_edges())
-        {
-            apply_assignment_diff(graph, coordinator, &new_assignment, &mut self.arena);
-            stats.consolidated_moves += net_moves as u64;
-            stats.consolidations_incremental += 1;
-            stats.sim_mcmc.add_serial(incremental_cost);
-        } else {
-            coordinator.rebuild(graph, new_assignment);
-            stats.consolidations_rebuild += 1;
-            stats.sim_mcmc.add_parallel_uniform(
-                cfg.cost_model.rebuild_cost(graph.num_edges()),
-                cfg.cost_model.rebuild_serial_fraction,
-            );
-        }
-        for (s, local) in replicas_back {
-            self.replicas[s] = Some(local);
-        }
+        consolidate_sweep(
+            graph,
+            coordinator,
+            new_assignment,
+            cfg,
+            &mut self.arena,
+            stats,
+            stats.mcmc_sweeps + batch,
+        )?;
 
         // 3. Broadcast: one sequence number per live shard per round (the
         // silent shard burns its number — that unfilled gap is exactly how
@@ -543,7 +499,7 @@ impl PhaseExecutor for Cluster<'_> {
                     match self.trackers[r][src].offer(seq) {
                         Offer::Apply => {
                             if let Some(replica) = self.replicas[r].as_mut() {
-                                apply_moves(graph, replica, &moves, &mut self.arena);
+                                replay_moves(graph, replica, moves, &mut self.arena);
                             }
                             // Drain any buffered successors.
                             loop {
@@ -557,7 +513,7 @@ impl PhaseExecutor for Cluster<'_> {
                                 let (_, s, buffered) = pending[r].swap_remove(pos);
                                 self.trackers[r][src].offer(s);
                                 if let Some(replica) = self.replicas[r].as_mut() {
-                                    apply_moves(graph, replica, &buffered, &mut self.arena);
+                                    replay_moves(graph, replica, buffered, &mut self.arena);
                                 }
                             }
                         }
@@ -693,60 +649,15 @@ impl PhaseExecutor for Cluster<'_> {
     }
 }
 
-/// Fold a foreign move list into `replica` as exact integer deltas against
-/// its own evolving assignment (the EA-SBP replica sync).
-fn apply_moves(
-    graph: &Graph,
-    replica: &mut Blockmodel,
-    moves: &[(Vertex, Block)],
-    arena: &mut ProposalArena,
-) {
-    for &(v, to) in moves {
-        let from = replica.block_of(v);
-        if from == to {
-            continue;
-        }
-        NeighborCounts::gather_into(
-            graph,
-            replica.assignment(),
-            v,
-            &mut arena.scratch,
-            &mut arena.counts,
-        );
-        replica.apply_move(v, from, to, &arena.counts);
-    }
-}
-
-/// Replay every `current != target` vertex through `apply_move`, ascending
-/// by vertex id — core's incremental consolidation, verbatim.
-fn apply_assignment_diff(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    target: &[Block],
-    arena: &mut ProposalArena,
-) {
-    for (v, &to) in target.iter().enumerate() {
-        let v = v as Vertex;
-        let from = bm.block_of(v);
-        if from == to {
-            continue;
-        }
-        NeighborCounts::gather_into(
-            graph,
-            bm.assignment(),
-            v,
-            &mut arena.scratch,
-            &mut arena.counts,
-        );
-        bm.apply_move(v, from, to, &arena.counts);
-    }
-}
-
 /// Public building block for the codec property tests: deliver one decoded
 /// delta to a replica exactly as the protocol does.
 pub fn apply_delta(graph: &Graph, replica: &mut Blockmodel, moves: &[(Vertex, Block)]) {
-    let mut arena = ProposalArena::default();
-    apply_moves(graph, replica, moves, &mut arena);
+    replay_moves(
+        graph,
+        replica,
+        moves.iter().copied(),
+        &mut ProposalArena::default(),
+    );
 }
 
 /// Run exact distributed SBP: the shared golden-section search
