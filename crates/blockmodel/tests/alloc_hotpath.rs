@@ -3,29 +3,37 @@
 //! This integration test binary installs a counting global allocator and
 //! asserts that the steady-state proposal loop — gather neighbour counts,
 //! evaluate the move, apply it — performs **zero** heap allocations once the
-//! per-worker arena has warmed up.
+//! per-worker arena has warmed up: once for a hand-written step, once for
+//! the production [`mh_step`].
 //!
-//! The whole file is ONE test on purpose: integration tests in a binary run
-//! on multiple threads, and any sibling test's allocations would bleed into
-//! the counter. Keep every allocation-sensitive assertion in `hot_path`.
+//! The counter is per thread: integration tests in a binary run on
+//! multiple threads, and a sibling test's allocations must not bleed into
+//! another test's count.
 
 use hsbp_blockmodel::{
-    evaluate_move_with, propose::accept_move, propose_block, Blockmodel, NeighborCounts,
+    evaluate_move_with, mh_step, propose::accept_move, propose_block, Blockmodel, NeighborCounts,
     ProposalArena,
 };
 use hsbp_collections::SplitMix64;
 use hsbp_generator::{generate, DcsbmConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapped with a global allocation counter.
+/// System allocator wrapped with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -34,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,8 +50,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -103,5 +112,44 @@ fn hot_path() {
     assert_eq!(
         delta, 0,
         "steady-state proposal loop must not allocate ({per_proposal:.3} allocations/proposal)"
+    );
+}
+
+#[test]
+fn production_mh_step_allocates_nothing() {
+    let generated = generate(DcsbmConfig {
+        num_vertices: 800,
+        num_communities: 12,
+        target_num_edges: 8_000,
+        seed: 42,
+        ..Default::default()
+    });
+    let graph = &generated.graph;
+    let mut bm = Blockmodel::from_assignment(graph, generated.ground_truth.clone(), 12);
+    let mut arena = ProposalArena::default();
+    let n = graph.num_vertices() as u32;
+    let mut sweep = |bm: &mut Blockmodel, arena: &mut ProposalArena, sweep: u64| {
+        let mut applied = 0u64;
+        for v in 0..n {
+            let mut rng = SplitMix64::for_item(9, sweep, u64::from(v));
+            applied += u64::from(mh_step(graph, bm, v, 3.0, &mut rng, arena).is_some());
+        }
+        applied
+    };
+    // Warm the arena, the model's rows and the `ln` table.
+    sweep(&mut bm, &mut arena, 0);
+
+    let sweeps = 5u64;
+    let before = allocations();
+    let applied: u64 = (1..=sweeps).map(|s| sweep(&mut bm, &mut arena, s)).sum();
+    let delta = allocations() - before;
+    let proposals = sweeps * u64::from(n);
+    assert!(
+        applied > 0,
+        "no move applied: the apply path went unmeasured"
+    );
+    assert_eq!(
+        delta, 0,
+        "steady-state mh_step must not allocate ({delta} allocations over {proposals} proposals, {applied} applied)"
     );
 }

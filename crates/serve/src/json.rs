@@ -266,17 +266,39 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
+/// A number in JSON's grammar,
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — stricter
+/// than `f64::from_str`, which also takes `+1`, `01`, `.5` and `1.`.
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    let eat = |pos: &mut usize, set: &[u8]| {
+        let hit = bytes.get(*pos).is_some_and(|b| set.contains(b));
+        *pos += usize::from(hit);
+        hit
+    };
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
+    eat(pos, b"-");
+    let leading_zero = bytes.get(*pos) == Some(&b'0');
+    let int = digits(pos);
+    let mut valid = int == 1 || (int > 1 && !leading_zero);
+    if eat(pos, b".") {
+        valid &= digits(pos) > 0;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    if eat(pos, b"eE") {
+        eat(pos, b"+-");
+        valid &= digits(pos) > 0;
+    }
+    let text = String::from_utf8_lossy(&bytes[start..*pos]);
+    match text.parse::<f64>() {
+        Ok(x) if valid => Ok(Json::Num(x)),
+        _ => Err(format!("invalid number {text:?} at byte {start}")),
+    }
 }
 
 fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -303,8 +325,9 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
+                            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                             .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
+                            .ok_or("\\u escape needs four hex digits")?;
                         let code = u32::from_str_radix(hex, 16)
                             .map_err(|_| "bad \\u escape".to_string())?;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -314,12 +337,18 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(0..=0x1f) => {
+                return Err(format!(
+                    "unescaped control character in string at byte {pos}",
+                    pos = *pos
+                ))
+            }
             Some(_) => {
-                // Copy the run up to the next quote or backslash at once.
-                // Both are ASCII, so the run of the UTF-8 input ends on a
-                // char boundary.
+                // Copy the run up to the next quote, backslash or control
+                // character at once. All are ASCII, so the run of the UTF-8
+                // input ends on a char boundary.
                 let start = *pos;
-                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\' | 0..=0x1f) {
                     *pos += 1;
                 }
                 out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
@@ -419,6 +448,12 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("").is_err());
+        for number in ["+1", "01", "-01", ".5", "1.", "1e", "1e+", "-"] {
+            assert!(parse(number).is_err(), "{number}");
+        }
+        assert!(parse("\"\\u+123\"").is_err());
+        assert!(parse("\"tab\there\"").is_err());
+        assert_eq!(parse("-0.5E+2").unwrap(), Json::Num(-50.0));
     }
 
     #[test]

@@ -7,7 +7,8 @@ use hsbp::generator::{generate, DcsbmConfig};
 use hsbp::metrics::nmi;
 use hsbp::{
     run_exact_sbp, run_exact_sbp_budgeted, run_sbp, run_sharded_sbp_detailed, CancelToken,
-    ExactConfig, NetFaultPlan, RunBudget, SbpConfig, ShardConfig, StopCause, Variant,
+    Consolidation, ExactConfig, NetFaultPlan, RunBudget, SbpConfig, ShardConfig, StopCause,
+    Variant,
 };
 
 fn small_graph() -> (hsbp::Graph, Vec<u32>) {
@@ -364,4 +365,32 @@ fn pre_cancelled_token_stops_exact_mode() {
     assert!(run.result.trajectory.is_empty());
     assert_eq!(run.result.num_blocks, graph.num_vertices());
     assert_eq!(run.result.stats.sync_rounds, 0);
+}
+
+/// The coordinator consolidates through the same policy as in-process
+/// EA-SBP, so `cfg.sbp.consolidation` is honoured: forced rebuilds replay
+/// no moves, Verify finds no divergence, and every mode samples the same
+/// chain as `Auto`.
+#[test]
+fn consolidation_mode_is_honoured() {
+    let (graph, _) = small_graph();
+    let run = |mode: Consolidation| {
+        let mut cfg = exact_cfg(4, NetFaultPlan::none());
+        cfg.sbp.consolidation = mode;
+        run_exact_sbp(&graph, &cfg)
+    };
+    let auto = run(Consolidation::Auto).expect("valid config");
+    let rebuild = run(Consolidation::ForceRebuild).expect("valid config");
+    let verify = run(Consolidation::Verify).expect("incremental replay matches a rebuild");
+    let stats = &rebuild.result.stats;
+    assert_eq!(stats.consolidated_moves, 0);
+    assert!(stats.consolidations_rebuild > 0);
+    for (mode, other) in [("ForceRebuild", &rebuild), ("Verify", &verify)] {
+        assert_eq!(other.result.assignment, auto.result.assignment, "{mode}");
+        assert_eq!(
+            other.result.mdl.total.to_bits(),
+            auto.result.mdl.total.to_bits(),
+            "{mode}"
+        );
+    }
 }
