@@ -242,9 +242,11 @@ pub fn measure_graph(spec: &HotpathSpec, threads: &[usize]) -> GraphMeasurement 
     let mut variants = Vec::new();
     for variant in VARIANTS {
         // Settle the chain from the planted truth so the timed sweeps see
-        // the steady-state (low-acceptance) regime that dominates long runs.
-        // One settle per variant: sweeps are bit-identical across thread
-        // counts, so every measurement starts from the same state.
+        // the settled regime (about 0.1% acceptance). It is the cheapest
+        // state, not the typical one: bench_e2e measures 9.1% acceptance
+        // on `detect_dcsbm` (ROADMAP.md item 1). One settle per variant:
+        // sweeps are bit-identical across thread counts, so every
+        // measurement starts from the same state.
         let mut settled =
             Blockmodel::from_assignment(graph, generated.ground_truth.clone(), spec.communities);
         if spec.warmup_sweeps > 0 {

@@ -1,11 +1,17 @@
-//! O(degree) evaluation of the MDL change of a proposed vertex move or block
-//! merge, plus the Hastings correction — all without mutating the model.
+//! Evaluation of the MDL change of a proposed vertex move or block merge,
+//! plus the Hastings correction — all without mutating the model.
 //!
 //! A vertex move `v: r → s` only touches rows `r`, `s` and columns `r`, `s`
 //! of `B` (and the four block degrees `d_out/d_in` of `r` and `s`), so the
 //! likelihood delta is the difference of Eq.-1 terms over exactly those
 //! entries. The same holds for a block merge. Correctness is enforced by
 //! property tests comparing against a full recompute on a mutated clone.
+//!
+//! A move therefore costs O(degree + width of rows and columns `r`, `s`),
+//! not O(degree): [`evaluate_move_with`] copies those rows and columns into
+//! scratch and sums Eq.-1 terms over all of them, and rows widen as the
+//! block count grows. ROADMAP.md item 1 measures this and plans the
+//! O(degree) form that touches only the cells a move changes.
 //!
 //! All per-proposal state lives in reusable epoch-stamped
 //! [`ScratchCounter`]s bundled into a [`ProposalArena`]; the steady-state

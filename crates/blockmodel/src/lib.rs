@@ -10,8 +10,9 @@
 //! * [`mdl`] — Eqs. 1 and 2 of the paper: the DCSBM log-likelihood, the
 //!   minimum description length, and the structure-less null MDL used for
 //!   the paper's normalized-MDL metric,
-//! * [`delta`] — O(degree) computation of the MDL change for a proposed
-//!   vertex move or block merge, without mutating the model,
+//! * [`delta`] — computation of the MDL change for a proposed vertex move
+//!   or block merge, without mutating the model, in O(degree + width of the
+//!   two affected rows and columns) (ROADMAP.md item 1),
 //! * [`propose`] — the Metropolis-Hastings proposal distribution over target
 //!   blocks and the Hastings correction factor,
 //! * [`fastmath`] — the delta-MDL term with its `ln`s served from a

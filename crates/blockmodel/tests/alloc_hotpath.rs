@@ -128,7 +128,7 @@ fn production_mh_step_allocates_nothing() {
     let mut bm = Blockmodel::from_assignment(graph, generated.ground_truth.clone(), 12);
     let mut arena = ProposalArena::default();
     let n = graph.num_vertices() as u32;
-    let mut sweep = |bm: &mut Blockmodel, arena: &mut ProposalArena, sweep: u64| {
+    let sweep = |bm: &mut Blockmodel, arena: &mut ProposalArena, sweep: u64| {
         let mut applied = 0u64;
         for v in 0..n {
             let mut rng = SplitMix64::for_item(9, sweep, u64::from(v));

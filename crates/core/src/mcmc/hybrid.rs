@@ -7,10 +7,13 @@
 //! the state. The low-degree tail `V⁻` then runs exactly like an A-SBP
 //! sweep against the post-serial snapshot, followed by one consolidation
 //! (incremental move replay or rebuild, see [`super::consolidate`]).
+//!
+//! SBP (Algorithm 2) runs here too, as the case `V* = V` in vertex-id
+//! order with no tail.
 
 use super::async_gibbs::evaluate_chunk;
 use super::consolidate::consolidate_sweep;
-use super::{metropolis, PhaseWorkspace, SweepCounters};
+use super::{mh_pass, PhaseWorkspace, SweepCounters};
 use crate::budget::RunControl;
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
@@ -36,19 +39,33 @@ pub(crate) fn sweep(
     ws: &mut PhaseWorkspace,
 ) -> Result<SweepCounters, HsbpError> {
     let sweep_no = stats.mcmc_sweeps + 1;
-    // Serial Metropolis-Hastings pass over the influential set V*.
+    // Serial Metropolis-Hastings pass over the influential set V*, each
+    // proposal and applied move charged to the serial account in visit
+    // order.
+    let mut counters = SweepCounters::default();
+    let mut serial_cost = 0.0;
     let vstar = order[..vstar_len].iter().copied();
-    let mut counters = metropolis::sweep(
+    let sweeps = sweep_idx..sweep_idx + 1;
+    mh_pass(
         graph,
         bm,
         vstar,
-        cfg,
+        sweeps,
+        cfg.beta,
         salt,
-        sweep_idx,
-        stats,
         ctrl,
         &mut ws.arena,
+        |v, moved| {
+            let incident = graph.incident_arity(v);
+            counters.proposals += 1;
+            serial_cost += cfg.cost_model.proposal_cost(incident);
+            if moved.is_some() {
+                serial_cost += cfg.cost_model.update_cost(incident);
+                counters.accepted += 1;
+            }
+        },
     );
+    stats.sim_mcmc.add_serial(serial_cost);
 
     // Asynchronous-Gibbs pass over the tail V⁻ (frozen model + snapshot).
     // Skipped entirely when an interrupt is already pending — the model is

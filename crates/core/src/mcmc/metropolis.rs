@@ -3,14 +3,11 @@
 //! every later proposal in the same sweep sees fully fresh state; that is
 //! exactly the dependency chain that makes this phase inherently serial.
 //!
-//! [`mh_pass`] is that serial loop, once, for every in-place sweep: SBP,
-//! H-SBP's influential set, EA-SBP's workers, the exact distributed
-//! mode's shards and the serve refinement.
+//! [`mh_pass`] is that serial loop, once, for every in-place sweep: SBP and
+//! H-SBP's influential set (both through [`super::hybrid`]), EA-SBP's
+//! workers, the exact distributed mode's shards and the serve refinement.
 
-use super::SweepCounters;
 use crate::budget::{RunControl, VERTEX_CHECK_STRIDE};
-use crate::config::SbpConfig;
-use crate::stats::RunStats;
 use hsbp_blockmodel::{mh_step, Block, Blockmodel, ProposalArena};
 use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, Vertex};
@@ -52,45 +49,4 @@ pub fn mh_pass(
         }
     }
     true
-}
-
-/// One serial sweep over `vertices` (all of them for SBP, the influential
-/// set for H-SBP), charging each proposal and each applied move to the
-/// simulated serial account in visit order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    vertices: impl Iterator<Item = Vertex> + Clone,
-    cfg: &SbpConfig,
-    salt: u64,
-    sweep_idx: u64,
-    stats: &mut RunStats,
-    ctrl: &RunControl,
-    arena: &mut ProposalArena,
-) -> SweepCounters {
-    let mut counters = SweepCounters::default();
-    let mut serial_cost = 0.0;
-    let sweeps = sweep_idx..sweep_idx + 1;
-    mh_pass(
-        graph,
-        bm,
-        vertices,
-        sweeps,
-        cfg.beta,
-        salt,
-        ctrl,
-        arena,
-        |v, moved| {
-            let incident = graph.incident_arity(v);
-            counters.proposals += 1;
-            serial_cost += cfg.cost_model.proposal_cost(incident);
-            if moved.is_some() {
-                serial_cost += cfg.cost_model.update_cost(incident);
-                counters.accepted += 1;
-            }
-        },
-    );
-    stats.sim_mcmc.add_serial(serial_cost);
-    counters
 }

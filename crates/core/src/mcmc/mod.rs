@@ -121,9 +121,10 @@ fn proposal_costs(graph: &Graph, order: impl Iterator<Item = Vertex>, cfg: &SbpC
 pub struct VariantSweeps<'a> {
     cfg: &'a SbpConfig,
     pool: &'static ThreadPool,
-    /// H-SBP's degree-descending vertex order (empty for other variants).
+    /// The serial-then-parallel vertex order: degree-descending for H-SBP,
+    /// `0..n` for SBP (all serial), empty for the other variants.
     order: Vec<Vertex>,
-    /// Length of H-SBP's serial head of `order`.
+    /// Length of the serial head of `order`.
     vstar_len: usize,
     /// Proposal costs of the vertices swept in parallel.
     parallel_costs: Vec<f64>,
@@ -175,23 +176,22 @@ impl PhaseExecutor for VariantSweeps<'_> {
                 let vstar = ((n as f64) * cfg.hybrid_serial_fraction).round() as usize;
                 (order, vstar.min(n))
             }
+            // SBP is H-SBP with every vertex in the serial head.
+            Variant::Metropolis => ((0..n as Vertex).collect(), n),
             _ => (Vec::new(), 0),
         };
         let tail = &self.order[self.vstar_len..];
         self.parallel_costs = match cfg.variant {
-            Variant::Metropolis => Vec::new(),
             Variant::AsyncGibbs | Variant::ExactAsync => proposal_costs(graph, 0..n as Vertex, cfg),
-            Variant::Hybrid => proposal_costs(graph, tail.iter().copied(), cfg),
+            Variant::Metropolis | Variant::Hybrid => {
+                proposal_costs(graph, tail.iter().copied(), cfg)
+            }
         };
-        self.tail_plan = if cfg.variant == Variant::Hybrid {
-            let weights: Vec<u64> = tail
-                .iter()
-                .map(|&v| graph.incident_arity(v) as u64 + 1)
-                .collect();
-            ChunkPlan::from_costs(&weights, self.pool.chunk_target())
-        } else {
-            ChunkPlan::even(0, 1)
-        };
+        let weights: Vec<u64> = tail
+            .iter()
+            .map(|&v| graph.incident_arity(v) as u64 + 1)
+            .collect();
+        self.tail_plan = ChunkPlan::from_costs(&weights, self.pool.chunk_target());
         self.ws = PhaseWorkspace::default();
         self.history.clear();
         if self.use_stale() {
@@ -214,17 +214,6 @@ impl PhaseExecutor for VariantSweeps<'_> {
         let (cfg, exec, ws) = (self.cfg, self.pool, &mut self.ws);
         let costs = &self.parallel_costs;
         match cfg.variant {
-            Variant::Metropolis => Ok(metropolis::sweep(
-                graph,
-                bm,
-                0..graph.num_vertices() as Vertex,
-                cfg,
-                salt,
-                sweep,
-                stats,
-                ctrl,
-                &mut ws.arena,
-            )),
             Variant::AsyncGibbs if stale => {
                 // Evaluate against the oldest retained model (at most
                 // `staleness` sweeps old), then retire it.
@@ -253,7 +242,7 @@ impl PhaseExecutor for VariantSweeps<'_> {
             Variant::ExactAsync => {
                 exact_async::sweep(graph, bm, cfg, salt, sweep, stats, costs, ctrl, exec, ws)
             }
-            Variant::Hybrid => hybrid::sweep(
+            Variant::Metropolis | Variant::Hybrid => hybrid::sweep(
                 graph,
                 bm,
                 &self.order,
@@ -315,13 +304,12 @@ pub fn run_mcmc_phase_controlled(
 /// The MCMC phase loop: rounds of `exec.batch()` sweeps until the MDL
 /// improvement stalls or `cfg.max_sweeps` is reached.
 ///
-/// Budget/cancel checks run at every round boundary (and, inside the
-/// in-process serial sweep loops, every
-/// `VERTEX_CHECK_STRIDE` vertices); a tripped control
-/// marks the outcome `truncated` and stops the phase. Drift injection
-/// (`cfg.inject_drift_at_sweep`) and the audit (every `cfg.audit_cadence`
-/// cumulative sweeps) fire on the round whose sweeps cross their boundary —
-/// with one sweep per round, exactly at that sweep. Audit divergence is
+/// Budget/cancel checks run at every round boundary (and, inside every
+/// serial pass, [`mh_pass`], every `VERTEX_CHECK_STRIDE` vertices); a
+/// tripped control marks the outcome `truncated` and stops the phase.
+/// Drift injection (`cfg.inject_drift_at_sweep`) and the audit (every
+/// `cfg.audit_cadence` cumulative sweeps) fire on the round whose sweeps
+/// cross their boundary — with one sweep per round, exactly at that sweep. Audit divergence is
 /// repaired in place and recorded in `stats.drift_events`, or — with
 /// `cfg.strict_audit` — returned as `Err(HsbpError::StateDrift)`.
 pub fn run_mcmc_rounds<E: PhaseExecutor + ?Sized>(

@@ -266,39 +266,28 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-/// A number in JSON's grammar,
-/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — stricter
-/// than `f64::from_str`, which also takes `+1`, `01`, `.5` and `1.`.
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    let eat = |pos: &mut usize, set: &[u8]| {
-        let hit = bytes.get(*pos).is_some_and(|b| set.contains(b));
-        *pos += usize::from(hit);
-        hit
-    };
-    let digits = |pos: &mut usize| {
-        let from = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos - from
-    };
-    eat(pos, b"-");
-    let leading_zero = bytes.get(*pos) == Some(&b'0');
-    let int = digits(pos);
-    let mut valid = int == 1 || (int > 1 && !leading_zero);
-    if eat(pos, b".") {
-        valid &= digits(pos) > 0;
+    while *pos < bytes.len()
+        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+    {
+        *pos += 1;
     }
-    if eat(pos, b"eE") {
-        eat(pos, b"+-");
-        valid &= digits(pos) > 0;
-    }
-    let text = String::from_utf8_lossy(&bytes[start..*pos]);
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
     match text.parse::<f64>() {
-        Ok(x) if valid => Ok(Json::Num(x)),
+        Ok(x) if is_json_number(text) => Ok(Json::Num(x)),
         _ => Err(format!("invalid number {text:?} at byte {start}")),
     }
+}
+
+/// JSON's number grammar, for text `f64::from_str` already accepts: no
+/// leading `+`, no leading zero, and digits on both sides of a `.`.
+fn is_json_number(text: &str) -> bool {
+    let unsigned = text.strip_prefix('-').unwrap_or(text);
+    let mantissa = unsigned.split(['e', 'E']).next().unwrap_or_default();
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, "0"));
+    let int_ok = int == "0" || int.starts_with(|c: char| matches!(c, '1'..='9'));
+    !text.starts_with('+') && int_ok && !frac.is_empty()
 }
 
 fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -337,12 +326,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(0..=0x1f) => {
-                return Err(format!(
-                    "unescaped control character in string at byte {pos}",
-                    pos = *pos
-                ))
-            }
+            Some(0..=0x1f) => return Err("unescaped control character in string".into()),
             Some(_) => {
                 // Copy the run up to the next quote, backslash or control
                 // character at once. All are ASCII, so the run of the UTF-8

@@ -37,7 +37,12 @@
 //! [`golden_section_search`] with the cluster as the MCMC phase executor
 //! (one sync round per round of `sync_every` sweeps), so the exact mode
 //! shares the convergence window, drift injection, audit, budgets and
-//! cancellation of `detect`.
+//! cancellation of `detect`. So are the pieces of a round: each shard's
+//! local sweeps are core's serial pass ([`mh_pass`], the EA-SBP worker
+//! loop, which checks cancellation and the deadline every 1024 vertices
+//! inside the round), the coordinator consolidates through
+//! [`consolidate_sweep`] under `cfg.sbp.consolidation`, and replicas fold
+//! in foreign deltas through [`replay_moves`].
 //!
 //! Because recovery completes inside the round barrier, every replica
 //! re-enters the next sweep in the consolidated state: drop / duplicate /
@@ -679,8 +684,12 @@ pub fn run_exact_sbp(graph: &Graph, cfg: &ExactConfig) -> Result<ExactRun, HsbpE
 /// at every evaluation, merge round and sync round, a tripped control
 /// discards the in-flight evaluation, and the result is a prefix point of
 /// the unlimited run's trajectory (`result.stats.stop_cause` says why it
-/// stopped). A sweep budget is checked between sync rounds, so a round of
-/// `sync_every` sweeps may run past it.
+/// stopped). Cancellation and the deadline are also checked every 1024
+/// vertices of a shard's local sweeps, so they stop a sync round part-way;
+/// the round is then discarded. A sweep budget is checked between sync
+/// rounds, so a round of `sync_every` sweeps may run past it. The
+/// coordinator consolidates under `cfg.sbp.consolidation`, as in-process
+/// EA-SBP does.
 pub fn run_exact_sbp_budgeted(
     graph: &Graph,
     cfg: &ExactConfig,

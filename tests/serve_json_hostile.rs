@@ -309,7 +309,7 @@ fn spliced_lines_are_handled() {
 
 #[test]
 fn stacked_random_edits_are_handled() {
-    let mut rng = SplitMix64::new(0x4a50_4e);
+    let mut rng = SplitMix64::new(0x4a_504e);
     for round in 0..20_000u64 {
         let line = VALID[(round % VALID.len() as u64) as usize];
         let mut bytes = line.as_bytes().to_vec();
