@@ -213,17 +213,6 @@ pub fn propose_merge_target_frozen(
     }
 }
 
-/// The Hastings correction of a proposed move, re-exported from the combined
-/// evaluation for callers that only need the factor.
-pub fn hastings_correction(
-    bm: &Blockmodel,
-    from: Block,
-    to: Block,
-    counts: &NeighborCounts,
-) -> f64 {
-    crate::delta::evaluate_move(bm, from, to, counts).hastings
-}
-
 /// Metropolis-Hastings acceptance test: accept with probability
 /// `min(1, exp(−β·ΔMDL) · hastings)`.
 pub fn accept_move(eval: &MoveEval, beta: f64, rng: &mut SplitMix64) -> bool {
@@ -280,7 +269,6 @@ pub fn exploration_probability(bm: &Blockmodel, t: Block) -> f64 {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::delta::evaluate_move;
     use hsbp_graph::Graph;
 
     fn two_cliques() -> (Graph, Blockmodel) {
@@ -484,14 +472,5 @@ mod tests {
         let mut rng = SplitMix64::new(8);
         assert_eq!(sampler.sample(1, &mut rng), None);
         assert!(sampler.sample(0, &mut rng).is_some());
-    }
-
-    #[test]
-    fn hastings_wrapper_matches_eval() {
-        let (g, bm) = two_cliques();
-        let counts = NeighborCounts::gather(&g, &bm, 3);
-        let h = hastings_correction(&bm, 0, 1, &counts);
-        let eval = evaluate_move(&bm, 0, 1, &counts);
-        assert_eq!(h, eval.hastings);
     }
 }

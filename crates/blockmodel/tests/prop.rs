@@ -4,7 +4,7 @@
 //! their `ln`s from the table; the recomputation is the libm reference
 //! `mdl::log_likelihood`.
 
-use hsbp_blockmodel::{delta_mdl_merge, delta_mdl_move, mdl, Blockmodel, NeighborCounts};
+use hsbp_blockmodel::{delta_mdl_merge, evaluate_move, mdl, Blockmodel, NeighborCounts};
 use hsbp_graph::Graph;
 use proptest::prelude::*;
 
@@ -32,7 +32,7 @@ proptest! {
         let from = bm.block_of(v);
         prop_assume!(from != to);
         let counts = NeighborCounts::gather(&g, &bm, v);
-        let fast = delta_mdl_move(&bm, from, to, &counts);
+        let fast = evaluate_move(&bm, from, to, &counts).delta_mdl;
         let mut moved = assignment;
         moved[v as usize] = to;
         let after = Blockmodel::from_assignment(&g, moved, c);
@@ -64,7 +64,7 @@ proptest! {
         let from = bm.block_of(v);
         prop_assume!(from != to);
         let counts = NeighborCounts::gather(&g, &bm, v);
-        let predicted = delta_mdl_move(&bm, from, to, &counts);
+        let predicted = evaluate_move(&bm, from, to, &counts).delta_mdl;
         let before = mdl::log_likelihood(&bm);
         bm.apply_move(v, from, to, &counts);
         prop_assert!(bm.check_consistency(&g).is_ok());
