@@ -6,7 +6,7 @@
 use hsbp_core::{run_sbp, RunStats, SbpConfig, Variant};
 use hsbp_generator::{catalog::SyntheticSpec, generate, GeneratedGraph};
 use hsbp_graph::stats::within_between_ratio;
-use hsbp_metrics::{directed_modularity, nmi, normalized_mdl};
+use hsbp_metrics::{directed_modularity, nmi};
 use hsbp_timing::Phase;
 
 /// Global experiment knobs (set from the `repro` CLI).
@@ -202,14 +202,6 @@ pub fn run_realworld_suite(ctx: &ExperimentContext) -> Vec<RealRun> {
             }
         })
         .collect()
-}
-
-/// Quality metrics of a run on a graph without ground truth.
-pub fn quality_without_truth(graph: &hsbp_graph::Graph, assignment: &[u32]) -> (f64, f64) {
-    (
-        normalized_mdl(graph, assignment),
-        directed_modularity(graph, assignment),
-    )
 }
 
 #[cfg(test)]

@@ -337,13 +337,6 @@ impl Blockmodel {
         self.assignment[v as usize] = to;
     }
 
-    /// Overwrite the block of `v` in the assignment only (A-SBP accept path:
-    /// the matrix is rebuilt later).
-    #[inline]
-    pub fn set_block_deferred(assignment: &mut [Block], v: Vertex, to: Block) {
-        assignment[v as usize] = to;
-    }
-
     /// Apply a batch of block merges `(from, to)` and compact the label
     /// space. Later merges may name blocks that were already absorbed; the
     /// chain is followed union-find style. Returns the new number of blocks.

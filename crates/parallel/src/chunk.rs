@@ -129,11 +129,6 @@ impl ChunkPlan {
         self.weights[c]
     }
 
-    /// Largest single chunk weight — the barrier-limiting quantity.
-    pub fn max_weight(&self) -> u64 {
-        self.weights.iter().copied().max().unwrap_or(0)
-    }
-
     /// Sum of all chunk weights.
     pub fn total_weight(&self) -> u64 {
         self.weights.iter().copied().sum()

@@ -327,11 +327,6 @@ pub enum Offer {
 }
 
 impl PeerTracker {
-    /// Tracker expecting `next` as the first sequence number.
-    pub fn starting_at(next: u64) -> Self {
-        Self { next }
-    }
-
     /// Next sequence number this tracker will accept.
     pub fn expected(&self) -> u64 {
         self.next
