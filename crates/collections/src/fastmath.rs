@@ -1,9 +1,9 @@
 //! Shared entropy helper and the precomputed `ln` table behind the
 //! delta-MDL kernel.
 //!
-//! Delta-MDL evaluation is a sum of `b·ln(b/(d_out·d_in))` terms whose
-//! arguments are overwhelmingly *small integer counts* (sparse B-matrix
-//! cells and block degrees). A table of `ln i` for `i` below
+//! Delta-MDL evaluation is a sum of `x·ln x` and `b·ln(b/(d_out·d_in))`
+//! terms whose arguments are overwhelmingly *small integer counts* (sparse
+//! B-matrix cells and block degrees). A table of `ln i` for `i` below
 //! [`LN_TABLE_CAP`] turns each libm `ln` call in the hot loop into a load —
 //! and because every table entry is computed with the very same `f64::ln`,
 //! a lookup for an in-range integer argument is *bit-identical* to calling
@@ -21,13 +21,14 @@ use std::sync::OnceLock;
 /// (see DESIGN.md §15 for the measurements behind the choice).
 pub const LN_TABLE_CAP: usize = 1 << 14;
 
-/// Exact `x·ln x` with the entropy convention `0·ln 0 = 0`.
+/// Exact `x·ln x` with the entropy convention `0·ln 0 = 0`, the `ln`
+/// taken from [`ln_lookup`].
 #[inline]
 pub fn xlnx(x: f64) -> f64 {
     if x <= 0.0 {
         0.0
     } else {
-        x * x.ln()
+        x * ln_lookup(x)
     }
 }
 
